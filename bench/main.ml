@@ -82,10 +82,8 @@ let zen_block =
 let reduced_harness () =
   Harness.create (Machine.create (Catalog.reduced ~per_bucket:2 ()))
 
-let cegis_toy ?(incremental_sat = true) ?(memoized_oracle = true)
-    ?(clause_db_reduction = true) ?(domains = 1) ?(cube_conquer = 0)
-    ?(certify = false) ?(enclint = false) ?(enclint_simplify = false)
-    ?(mapcheck = false) ~symmetry_breaking ~max_size () =
+let cegis_toy ?(domains = 1) ?(certify = false) ?(enclint = false)
+    ~symmetry_breaking ~max_size () =
   let truth = Mapping.create ~num_ports:3 in
   Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
   Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
@@ -93,9 +91,7 @@ let cegis_toy ?(incremental_sat = true) ?(memoized_oracle = true)
   let config =
     { Cegis.default_config with
       Cegis.num_ports = 3; r_max = 4; max_experiment_size = max_size;
-      symmetry_breaking; incremental_sat; memoized_oracle;
-      clause_db_reduction; domains; cube_conquer; certify; enclint;
-      enclint_simplify; mapcheck }
+      symmetry_breaking; domains; certify; enclint }
   in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
@@ -282,38 +278,8 @@ let solve_pigeonhole_sub ~proof ~pigeons ~holes =
   | Sat.Unsat -> s
   | Sat.Sat _ -> failwith "bench: pigeonhole must be unsat"
 
-(* The cube-vs-portfolio A/B: the same UNSAT pigeonhole instance through
-   the 4-clone diversified portfolio and through cube-and-conquer (the
-   same 4 workers pulling 2^3 assumption cubes off the stealing queue,
-   continuously exchanging low-glue learnt clauses). *)
-let portfolio_pigeonhole ~pigeons ~holes =
-  let open Pmi_smt in
-  let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
-  match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> failwith "bench: pigeonhole must be unsat"
-
-let cubes_pigeonhole ~pigeons ~holes =
-  let open Pmi_smt in
-  let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
-  match Solver.solve_cubes ~domains:4 ~cubes:3 ~check:(fun _ -> []) s with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> failwith "bench: pigeonhole must be unsat"
-
 let solve_pigeonhole ~pigeons ~holes =
   ignore (solve_pigeonhole_sub ~proof:false ~pigeons ~holes)
-
-(* The certified-simplification A/B: EncLint's subsumption/SSR/BCE pass
-   over the same UNSAT workhorse before solving.  Its baseline partner is
-   sat/pigeonhole-8-7 — the simplification must pay for itself (or at
-   least stay within noise) on the end-to-end wall-clock. *)
-let simplify_pigeonhole ~pigeons ~holes =
-  let open Pmi_smt in
-  let s = pigeonhole_cnf ~proof:false ~pigeons ~holes in
-  ignore (Pmi_analysis.Enclint.simplify s);
-  match Sat.solve s with
-  | Sat.Unsat -> ()
-  | Sat.Sat _ -> failwith "bench: pigeonhole must be unsat"
 
 let certify_pigeonhole ~pigeons ~holes =
   let s = solve_pigeonhole_sub ~proof:true ~pigeons ~holes in
@@ -372,23 +338,6 @@ let solve_random_3sat () =
            random_3sat_clauses)
     then failwith "bench: 3-SAT model violates a clause"
   | Sat.Unsat ->
-    if random_3sat_expected then failwith "bench: 3-SAT verdict flipped"
-
-(* The same instance through the diversified portfolio (4 clones over the
-   domain pool), used by the sanitizer ablation: every solve-path
-   instrumentation point (pool cursor, winner slot, clone/parent shadow
-   words) is on this path. *)
-let portfolio_random_3sat () =
-  let open Pmi_smt in
-  let s = Sat.create () in
-  for _ = 1 to 120 do
-    ignore (Sat.fresh_var s)
-  done;
-  List.iter (Sat.add_clause s) random_3sat_clauses;
-  match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-  | Solver.Sat _ ->
-    if not random_3sat_expected then failwith "bench: 3-SAT verdict flipped"
-  | Solver.Unsat ->
     if random_3sat_expected then failwith "bench: 3-SAT verdict flipped"
 
 let eval_schemes =
@@ -460,10 +409,6 @@ let micro_tests =
     ("sat/pigeonhole-7-6", fun () -> solve_pigeonhole ~pigeons:7 ~holes:6);
     ("sat/pigeonhole-8-7", fun () -> solve_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/pigeonhole-9-8", fun () -> solve_pigeonhole ~pigeons:9 ~holes:8);
-    ("sat/portfolio-php-8-7", fun () ->
-        portfolio_pigeonhole ~pigeons:8 ~holes:7);
-    ("sat/cube-vs-portfolio-php-8-7", fun () ->
-        cubes_pigeonhole ~pigeons:8 ~holes:7);
     ("sat/random-3sat", fun () -> solve_random_3sat ()) ]
 
 let characterize_fixture =
@@ -498,29 +443,9 @@ let ablation_tests =
     ("ablation/characterize-uops-info", fun () ->
         let _, with_counters, target = characterize_fixture in
         ignore (Uops_info.characterize zen_machine ~blockers:with_counters target));
-    (* Incremental SAT: one persistent encoding with activation literals vs
-       a fresh encoding per CEGIS iteration. *)
-    ("ablation/cegis-incremental-sat", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-fresh-sat", fun () ->
-        ignore
-          (cegis_toy ~incremental_sat:false ~symmetry_breaking:true
-             ~max_size:4 ()));
-    (* Memoized oracle vs naive per-query throughput in the same search. *)
-    ("ablation/cegis-memoized-oracle", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-naive-oracle", fun () ->
-        ignore
-          (cegis_toy ~memoized_oracle:false ~symmetry_breaking:true
-             ~max_size:4 ()));
-    (* Clause-database reduction inside the CEGIS solvers. *)
-    ("ablation/cegis-clause-db", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-no-clause-db", fun () ->
-        ignore
-          (cegis_toy ~clause_db_reduction:false ~symmetry_breaking:true
-             ~max_size:4 ()));
-    (* Symmetry breaking: CEGIS convergence cost with and without. *)
+    (* Symmetry breaking: CEGIS convergence cost with and without.
+       [cegis-with-symmetry] is the default toy inference, the baseline
+       every other cegis_toy ablation below compares against. *)
     ("ablation/cegis-with-symmetry", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
     ("ablation/cegis-no-symmetry", fun () ->
@@ -530,14 +455,6 @@ let ablation_tests =
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:3 ()));
     ("ablation/cegis-bound-6", fun () ->
         ignore (cegis_toy ~symmetry_breaking:true ~max_size:6 ()));
-    (* SAT back-end of the CEGIS loop over the same 4 domains: diversified
-       portfolio racing vs cube-and-conquer decomposition. *)
-    ("ablation/cegis-portfolio", fun () ->
-        ignore (cegis_toy ~domains:4 ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/cegis-cube-conquer", fun () ->
-        ignore
-          (cegis_toy ~domains:4 ~cube_conquer:2 ~symmetry_breaking:true
-             ~max_size:4 ()));
     (* Delta mode: the cost of absorbing new schemes into a standing
        session (frozen rows pinned through assumptions, one solver episode
        per flush) vs re-inferring the identical 10-scheme spec set from
@@ -587,7 +504,7 @@ let ablation_tests =
         ignore (warm_start_infer ~warm:true (Lazy.force warm_start_store)));
     (* Proof logging (trust-but-verify): the trace-recording overhead on an
        UNSAT workhorse, the independent checker on top of it, and a fully
-       certified CEGIS run (its baseline is ablation/cegis-incremental-sat
+       certified CEGIS run (its baseline is ablation/cegis-with-symmetry
        above).  Compare proof-off vs proof-log for the logging tax, and
        proof-log vs proof-check for the checker's own cost. *)
     ("ablation/proof-off-pigeonhole-7-6", fun () ->
@@ -601,39 +518,28 @@ let ablation_tests =
     (* EncLint: the solver-off static analyzer gating every solver episode
        (structural checks per episode, exhaustive cardinality-cone
        verification once per network shape).  The analysis tax over the
-       identical ungated run must stay small — the gate is a debugging
-       aid, not a solver pass.  The simplify bench pairs with
-       sat/pigeonhole-8-7 above. *)
-    ("ablation/enclint-off-cegis", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
+       ungated ablation/cegis-with-symmetry must stay small — the gate is
+       a debugging aid, not a solver pass. *)
     ("ablation/enclint-on-cegis", fun () ->
         ignore (cegis_toy ~enclint:true ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/simplify-php-8-7", fun () ->
-        simplify_pigeonhole ~pigeons:8 ~holes:7);
-    (* MapCheck: the abstract-interpretation refutation pass inside the
-       loop.  The interval bookkeeping must cost less than the harness
-       measurements and solver work it saves (see the
-       cegis-toy/measurements-* and sat-episodes-* count records for the
-       saved units themselves). *)
-    ("ablation/mapcheck-off-cegis", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
-    ("ablation/mapcheck-on-cegis", fun () ->
-        ignore (cegis_toy ~mapcheck:true ~symmetry_breaking:true ~max_size:4 ()));
-    (* Concurrency sanitizer: the same 4-clone portfolio solve with the
-       race detector off (the shipping default — one predicted branch per
-       instrumentation point, so this must stay within noise of the PR 3
-       portfolio numbers) and on (all shadow bookkeeping under the global
-       detector mutex). *)
-    ("ablation/sanitize-off-portfolio", fun () -> portfolio_random_3sat ());
-    ("ablation/sanitize-on-portfolio", fun () ->
+    (* Concurrency sanitizer: the toy inference with its distinguishing
+       search and validation sweep fanned out over 2 domains, with the race
+       detector off (the shipping default — one predicted branch per
+       instrumentation point) and on (all shadow bookkeeping under the
+       global detector mutex). *)
+    ("ablation/sanitize-off-cegis-domains-2", fun () ->
+        ignore (cegis_toy ~domains:2 ~symmetry_breaking:true ~max_size:4 ()));
+    ("ablation/sanitize-on-cegis-domains-2", fun () ->
         Pmi_diag.Race.enable ();
-        Fun.protect portfolio_random_3sat ~finally:Pmi_diag.Race.disable);
-    (* Telemetry: the same toy CEGIS inference with tracing off (the
-       shipping default — one predicted branch per instrumentation point,
-       so this must stay within noise of ablation/cegis-incremental-sat)
-       and on (spans into the per-domain rings, counters on atomics). *)
-    ("ablation/obs-off-cegis", fun () ->
-        ignore (cegis_toy ~symmetry_breaking:true ~max_size:4 ()));
+        Fun.protect
+          ~finally:Pmi_diag.Race.disable
+          (fun () ->
+             ignore
+               (cegis_toy ~domains:2 ~symmetry_breaking:true ~max_size:4 ())));
+    (* Telemetry: the toy inference with tracing on (spans into the
+       per-domain rings, counters on atomics); tracing off is
+       ablation/cegis-with-symmetry, which must stay within noise of the
+       pre-telemetry numbers. *)
     ("ablation/obs-on-cegis", fun () ->
         Pmi_obs.Obs.enable ();
         Fun.protect
@@ -752,56 +658,6 @@ let solver_stat_records () =
     ("cegis-toy/sat-deleted", s.Sat.deleted);
     ("cegis-toy/sat-max-lbd", s.Sat.max_lbd) ]
 
-(* The MapCheck A/B in the units that matter: harness measurements paid
-   and SAT episodes run for the identical toy inference with static
-   refutation off and on.  The acceptance bar is an identical inferred
-   mapping with strictly fewer measurements — asserted here so the bench
-   run itself is the witness. *)
-let mapcheck_count_records () =
-  let run mapcheck =
-    let truth = Mapping.create ~num_ports:3 in
-    Mapping.set truth toy_add [ (Portset.of_list [ 0; 1 ], 1) ];
-    Mapping.set truth toy_mul [ (Portset.of_list [ 1; 2 ], 1) ];
-    Mapping.set truth toy_fma [ (Portset.singleton 2, 1) ];
-    let config =
-      { Cegis.default_config with
-        Cegis.num_ports = 3; r_max = 4; max_experiment_size = 4;
-        symmetry_breaking = true; mapcheck }
-    in
-    let measure e = Cegis.modeled_inverse config truth e in
-    let specs =
-      [ (toy_add, Encoding.Proper 2); (toy_mul, Encoding.Proper 2);
-        (toy_fma, Encoding.Proper 1) ]
-    in
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, stats) -> (m, stats)
-    | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-      failwith "bench: toy CEGIS failed"
-  in
-  let m_off, s_off = run false in
-  let m_on, s_on = run true in
-  assert (
-    List.for_all
-      (fun s ->
-         match (Mapping.find_opt m_off s, Mapping.find_opt m_on s) with
-         | Some a, Some b -> Mapping.equal_usage a b
-         | _ -> false)
-      [ toy_add; toy_mul; toy_fma ]);
-  assert (List.length s_on.Cegis.observations
-          < List.length s_off.Cegis.observations);
-  Format.printf
-    "mapcheck A/B: %d -> %d measurements, %d -> %d SAT episodes \
-     (identical mapping)@."
-    (List.length s_off.Cegis.observations)
-    (List.length s_on.Cegis.observations)
-    s_off.Cegis.sat_episodes s_on.Cegis.sat_episodes;
-  [ ("cegis-toy/measurements-baseline",
-     List.length s_off.Cegis.observations);
-    ("cegis-toy/measurements-mapcheck",
-     List.length s_on.Cegis.observations);
-    ("cegis-toy/sat-episodes-baseline", s_off.Cegis.sat_episodes);
-    ("cegis-toy/sat-episodes-mapcheck", s_on.Cegis.sat_episodes) ]
-
 (* The warm-start A/B in the units that matter: machine measurements paid
    by the identical harness-backed inference against an empty store and
    against the history it persisted.  The acceptance bar — zero warm
@@ -860,8 +716,7 @@ module Gj = Pmi_obs.Json
 let bench_record ?(with_stats = true) results =
   let stats =
     if with_stats then
-      solver_stat_records () @ mapcheck_count_records ()
-      @ warm_start_records ()
+      solver_stat_records () @ warm_start_records ()
     else []
   in
   let obs = if with_stats then obs_counter_records () else [] in

@@ -75,39 +75,15 @@ let cnf_prefix = ref None
    certificate (DRAT proof for UNSAT, CNF + theory replay for SAT). *)
 let certify = ref false
 
-(* [--cubes K]: replace the CEGIS portfolio with cube-and-conquer over
-   2^K assumption cubes.  Implies a multi-domain solver pool. *)
-let cubes = ref 0
-
-(* [--enclint] / [--enclint-simplify]: gate every CEGIS solver episode
-   behind the static encoding analyzer, optionally running the certified
-   simplification on the clause database first. *)
+(* [--enclint]: gate every CEGIS solver episode behind the static
+   encoding analyzer. *)
 let enclint_on = ref false
-let enclint_simplify_on = ref false
-
-(* [--mapcheck]: static refutation through the abstract interpreter — the
-   CEGIS loop prunes candidate rows whose throughput interval excludes an
-   observation and skips statically determined singleton measurements. *)
-let mapcheck_on = ref false
 
 let make_cegis_config () =
-  let base = Pipeline.default_config.Pipeline.cegis in
-  let domains =
-    (* Cube-and-conquer needs a worker pool; force one even on a single
-       core (domains timeshare), where [default_domains] would say 1. *)
-    if !cubes > 0 then
-      max 2
-        (max base.Pmi_core.Cegis.domains (Pmi_parallel.Pool.default_domains ()))
-    else base.Pmi_core.Cegis.domains
-  in
-  { base with
+  { Pipeline.default_config.Pipeline.cegis with
     Pmi_core.Cegis.dump_cnf = !cnf_prefix;
     Pmi_core.Cegis.certify = !certify;
-    Pmi_core.Cegis.cube_conquer = !cubes;
-    Pmi_core.Cegis.domains = domains;
-    Pmi_core.Cegis.enclint = !enclint_on || !enclint_simplify_on;
-    Pmi_core.Cegis.enclint_simplify = !enclint_simplify_on;
-    Pmi_core.Cegis.mapcheck = !mapcheck_on;
+    Pmi_core.Cegis.enclint = !enclint_on;
     Pmi_core.Cegis.store = get_store () }
 
 let run_pipeline ~reduced ~seed =
@@ -737,30 +713,16 @@ module Enclint = Pmi_analysis.Enclint
 (* [pmi_repro enclint] analyzes the built-in encoding shapes — a
    creation-time encoding with symmetry breaking, and a delta session
    after an append/retire/re-append cycle — plus one encoding rebuilt
-   from each mapping file given on the command line.  With [--simplify]
-   the certified simplification runs first, so the analysis also vets the
-   simplifier's output. *)
-let enclint_run files simplify json reduced _seed =
+   from each mapping file given on the command line. *)
+let enclint_run files json reduced _seed =
   let module Encoding = Pmi_core.Encoding in
   let catalog =
     if reduced > 0 then Catalog.reduced ~per_bucket:reduced ()
     else Catalog.zen_plus ()
   in
-  let analyze_encoding ?frozen ?accepted subject encoding =
-    let sat = Encoding.sat encoding in
-    if simplify then begin
-      let st =
-        Enclint.simplify ~protect:(Encoding.protected_vars encoding) sat
-      in
-      if Enclint.total st > 0 then
-        Format.eprintf
-          "%s: simplified %d clause(s) (%d satisfied, %d subsumed, %d \
-           strengthened, %d blocked)@."
-          subject (Enclint.total st) st.Enclint.satisfied_removed
-          st.Enclint.subsumed_removed st.Enclint.strengthened
-          st.Enclint.blocked_removed
-    end;
-    Enclint.analyze sat (Encoding.enclint_view ?frozen ?accepted encoding)
+  let analyze_encoding ?frozen ?accepted encoding =
+    Enclint.analyze (Encoding.sat encoding)
+      (Encoding.enclint_view ?frozen ?accepted encoding)
   in
   let toy_schemes () =
     let toy =
@@ -781,7 +743,7 @@ let enclint_run files simplify json reduced _seed =
         [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2);
           (fma, Encoding.Proper 1) ]
     in
-    analyze_encoding "encoding(creation)" encoding
+    analyze_encoding encoding
   in
   let delta () =
     let add, mul, fma = toy_schemes () in
@@ -791,8 +753,7 @@ let enclint_run files simplify json reduced _seed =
     Encoding.append_row encoding fma (Encoding.Proper 1);
     Encoding.retire_row encoding mul;
     Encoding.append_row encoding mul (Encoding.Proper 3);
-    analyze_encoding "encoding(delta append/retire)"
-      ~frozen:(Encoding.row_assumptions encoding) encoding
+    analyze_encoding ~frozen:(Encoding.row_assumptions encoding) encoding
   in
   let from_file path =
     if not (Sys.file_exists path) then
@@ -833,9 +794,7 @@ let enclint_run files simplify json reduced _seed =
             Encoding.create ~num_ports:(Mapping.num_ports m)
               ~symmetry_breaking:false specs
           in
-          analyze_encoding ~accepted:m
-            (Printf.sprintf "encoding(%s)" path)
-            encoding
+          analyze_encoding ~accepted:m encoding
     end
   in
   let diags = creation () @ delta () @ List.concat_map from_file files in
@@ -871,18 +830,6 @@ let sanitize_pool_primitives ~schedules =
     Pool.parallel_for ~domains:3 ~n:12 (fun _ ->
         ignore (Race.afetch_add counter 1));
     check_invariant (Race.aget counter = 12) "parallel_for lost updates";
-    let cell = Race.tracked_ref ~name:"sanitize.forked-cell" 0 in
-    Race.write cell 41;
-    let tasks =
-      Array.init 3 (fun i ->
-          fun stop ->
-            if stop () then None
-            else if i = Race.read cell - 40 then Some i
-            else None)
-    in
-    (match Pool.race ~domains:3 tasks with
-     | Some 1 -> ()
-     | _ -> raise (Sanitize_broken "race winner changed"));
     let arr = Array.init 8 (fun i -> i) in
     (match Pool.find_first_index ~domains:3 (fun x -> x >= 5) arr with
      | Some 5 -> ()
@@ -895,75 +842,6 @@ let sanitize_pool_primitives ~schedules =
        Pool.set_schedule (Pool.Replay seed);
        run_once ())
     (replay_seeds schedules 3)
-
-(* A fixed random 3-SAT instance (80 vars, 330 clauses), deterministic so
-   every schedule solves the same formula. *)
-let sanitize_3sat_clauses =
-  let state = ref 0x5151 in
-  let next bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  let n = 80 in
-  List.init 330 (fun _ ->
-      let rec pick acc =
-        if List.length acc = 3 then acc
-        else
-          let v = next n in
-          if List.exists (fun l -> Pmi_smt.Lit.var l = v) acc then pick acc
-          else pick (Pmi_smt.Lit.make v (next 2 = 0) :: acc)
-      in
-      pick [])
-
-let sanitize_portfolio ~schedules =
-  let open Pmi_smt in
-  let solve () =
-    let s = Sat.create () in
-    for _ = 1 to 80 do
-      ignore (Sat.fresh_var s)
-    done;
-    List.iter (Sat.add_clause s) sanitize_3sat_clauses;
-    match Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s with
-    | Solver.Sat _ -> true
-    | Solver.Unsat -> false
-  in
-  Pool.set_schedule Pool.Os;
-  let reference = solve () in
-  List.iter
-    (fun seed ->
-       Pool.set_schedule (Pool.Replay seed);
-       check_invariant (solve () = reference)
-         "portfolio verdict changed under schedule %d" seed)
-    (replay_seeds (min schedules 10) 4)
-
-let sanitize_cubes ~schedules =
-  (* Cube-and-conquer on the same fixed formula: the work-stealing cube
-     queue and the cross-worker clause pool are shared state beyond what
-     the portfolio exercises, and a small conflict budget forces re-splits
-     so the queue sees pushes from inside the race. *)
-  let open Pmi_smt in
-  let solve () =
-    let s = Sat.create () in
-    for _ = 1 to 80 do
-      ignore (Sat.fresh_var s)
-    done;
-    List.iter (Sat.add_clause s) sanitize_3sat_clauses;
-    match
-      Solver.solve_cubes ~domains:4 ~cubes:2 ~conflict_budget:64
-        ~check:(fun _ -> [])
-        s
-    with
-    | Solver.Sat _ -> true
-    | Solver.Unsat -> false
-  in
-  Pool.set_schedule Pool.Os;
-  let reference = solve () in
-  List.iter
-    (fun seed ->
-       Pool.set_schedule (Pool.Replay seed);
-       check_invariant (solve () = reference)
-         "cube-and-conquer verdict changed under schedule %d" seed)
-    (replay_seeds (min schedules 10) 4)
 
 let sanitize_cegis ~schedules =
   let toy =
@@ -1008,10 +886,11 @@ let sanitize_cegis ~schedules =
     (replay_seeds (min schedules 4) 2)
 
 let sanitize_delta ~schedules =
-  (* A parallel delta batch: the session's validation sweep and SAT
-     portfolio fan out over the pool while the flush mutates the shared
-     observation vector and lemma pool, which is exactly the shape the
-     vector clocks need to see.  Two schemes are frozen, one arrives. *)
+  (* A parallel delta batch: the session's distinguishing search and
+     validation sweep fan out over the pool while the flush mutates the
+     shared observation vector and lemma pool, which is exactly the shape
+     the vector clocks need to see.  Two schemes are frozen, one
+     arrives. *)
   let toy =
     Catalog.of_list
       [ ("add", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
@@ -1104,8 +983,6 @@ let sanitize schedules plant json reduced _seed =
   let outcome =
     try
       sanitize_pool_primitives ~schedules;
-      sanitize_portfolio ~schedules;
-      sanitize_cubes ~schedules;
       sanitize_cegis ~schedules;
       sanitize_delta ~schedules;
       sanitize_harness_sweep ~schedules ~reduced;
@@ -1287,37 +1164,12 @@ let certify_flag =
              throughput oracle.  A certificate failure aborts the run." in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
-let cubes_flag =
-  let doc = "Solve each CEGIS SAT query by cube-and-conquer instead of the \
-             diversified portfolio: split the search space on $(docv) \
-             most-constrained variables into 2^$(docv) assumption cubes, \
-             scheduled across the domain pool with work stealing and \
-             continuous cross-worker clause sharing.  Implies a \
-             multi-domain solver pool; 0 keeps the portfolio." in
-  Arg.(value & opt int 0 & info [ "cubes" ] ~docv:"K" ~doc)
-
 let enclint_global_flag =
   let doc = "Statically analyze every CEGIS encoding before each solver \
              episode (guard structure, cardinality-network bounds, \
-             retired-row reachability, cube-split hints); an \
-             error-severity finding aborts the run." in
+             retired-row reachability); an error-severity finding aborts \
+             the run." in
   Arg.(value & flag & info [ "enclint" ] ~doc)
-
-let enclint_simplify_flag =
-  let doc = "Run the DRAT-certified simplification (subsumption, \
-             self-subsuming resolution, blocked-clause elimination) on \
-             each CEGIS encoding before its solver episode.  Implies \
-             $(b,--enclint)." in
-  Arg.(value & flag & info [ "enclint-simplify" ] ~doc)
-
-let mapcheck_flag =
-  let doc = "Statically refute candidate port sets through the abstract \
-             interpreter before paying for measurements or solver \
-             episodes: candidates whose sound throughput interval \
-             excludes an observation are pruned with a clause, and \
-             singleton measurements whose value is already statically \
-             determined are skipped.  The inferred mapping is unchanged." in
-  Arg.(value & flag & info [ "mapcheck" ] ~doc)
 
 let store_flag =
   let doc = "Durable crash-safe store directory.  Measurements are read \
@@ -1342,24 +1194,25 @@ let metrics =
              finishes." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let with_logs f reduced seed verbose dump_cnf certify_opt cubes_opt
-    enclint_opt enclint_simplify_opt mapcheck_opt store_opt trace metrics =
-  setup_logs (if verbose then Some Logs.Info else Some Logs.Warning);
-  setup_obs ~trace ~metrics;
-  cnf_prefix := dump_cnf;
-  certify := certify_opt;
-  cubes := cubes_opt;
-  enclint_on := enclint_opt;
-  enclint_simplify_on := enclint_simplify_opt;
-  mapcheck_on := mapcheck_opt;
-  store_dir := store_opt;
-  f reduced seed
+(* The options every inference command shares, applied before the command
+   body runs: [with_globals f] sets up logging, telemetry and the CEGIS
+   knobs, then calls [f reduced seed]. *)
+let with_globals =
+  let setup reduced seed verbose dump_cnf certify_opt enclint_opt store_opt
+      trace metrics f =
+    setup_logs (if verbose then Some Logs.Info else Some Logs.Warning);
+    setup_obs ~trace ~metrics;
+    cnf_prefix := dump_cnf;
+    certify := certify_opt;
+    enclint_on := enclint_opt;
+    store_dir := store_opt;
+    f reduced seed
+  in
+  Term.(const setup $ reduced $ seed $ verbose $ dump_cnf $ certify_flag
+        $ enclint_global_flag $ store_flag $ trace_out $ metrics)
 
 let cmd name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const (with_logs f) $ reduced $ seed $ verbose $ dump_cnf
-          $ certify_flag $ cubes_flag $ enclint_global_flag
-          $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out $ metrics)
+  Cmd.v (Cmd.info name ~doc) Term.(const (fun run -> run f) $ with_globals)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1392,16 +1245,9 @@ let () =
                         through a delta-CEGIS session and A/B it against \
                         full re-inference (per-flush latency, speedup, and \
                         a mapping-equivalence report)")
-               Term.(const (fun stream_n batch reduced seed verbose dump_cnf
-                             certify cubes enclint enclint_simplify mapcheck
-                             store trace metrics ->
-                   with_logs (delta_stream stream_n batch) reduced seed
-                     verbose dump_cnf certify cubes enclint enclint_simplify
-                     mapcheck store trace metrics)
-                     $ stream_n $ batch $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
+               Term.(const (fun stream_n batch run ->
+                   run (delta_stream stream_n batch))
+                     $ stream_n $ batch $ with_globals));
             cmd "export" "Infer the port mapping and write it to a file" export;
             cmd "diff" "Compare the inferred mapping with the documentation" diff;
             cmd "report" "Write a markdown report of the whole study" report;
@@ -1412,16 +1258,8 @@ let () =
              Cmd.v
                (Cmd.info "analyze"
                   ~doc:"Port-pressure analysis of a basic block (llvm-mca style)")
-               Term.(const (fun insns reduced seed verbose dump_cnf certify
-                             cubes enclint enclint_simplify mapcheck store
-                             trace metrics ->
-                   with_logs (analyze_block insns) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ insns $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
+               Term.(const (fun insns run -> run (analyze_block insns))
+                     $ insns $ with_globals));
             (let insns =
                let doc = "Instruction scheme (name or unique prefix); repeatable." in
                Arg.(value & opt_all string [] & info [ "i"; "insn" ] ~docv:"SCHEME" ~doc)
@@ -1430,16 +1268,8 @@ let () =
                (Cmd.info "explain"
                   ~doc:"Show the explanatory microbenchmarks behind a scheme's \
                         inferred port usage")
-               Term.(const (fun insns reduced seed verbose dump_cnf certify
-                             cubes enclint enclint_simplify mapcheck store
-                             trace metrics ->
-                   with_logs (explain_scheme insns) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ insns $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
+               Term.(const (fun insns run -> run (explain_scheme insns))
+                     $ insns $ with_globals));
             (let files =
                let doc = "Port-mapping file(s) in the export format, linted \
                           in addition to the built-in profiles, catalog and \
@@ -1456,16 +1286,9 @@ let () =
                   ~doc:"Lint the built-in machine profiles, catalog and \
                         ground-truth mappings (plus optional mapping files); \
                         exits non-zero on any error-severity diagnostic")
-               Term.(const (fun files json reduced seed verbose dump_cnf
-                             certify cubes enclint enclint_simplify mapcheck
-                             store trace metrics ->
-                   with_logs (lint_files files json) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ files $ json $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
+               Term.(const (fun files json run ->
+                   run (lint_files files json))
+                     $ files $ json $ with_globals));
             (let files =
                let doc = "Port-mapping file(s) in the export format, audited \
                           in addition to the built-in ground-truth mappings; \
@@ -1486,26 +1309,14 @@ let () =
                         counter-consistency replay, dominated and \
                         interchangeable ports); exits non-zero on any \
                         error-severity diagnostic")
-               Term.(const (fun files json reduced seed verbose dump_cnf
-                             certify cubes enclint enclint_simplify mapcheck
-                             store trace metrics ->
-                   with_logs (mapcheck_run files json) reduced seed verbose
-                     dump_cnf certify cubes enclint enclint_simplify mapcheck
-                     store trace metrics)
-                     $ files $ json $ reduced $ seed $ verbose $ dump_cnf
-                     $ certify_flag $ cubes_flag $ enclint_global_flag
-                     $ enclint_simplify_flag $ mapcheck_flag $ store_flag $ trace_out
-                     $ metrics));
+               Term.(const (fun files json run ->
+                   run (mapcheck_run files json))
+                     $ files $ json $ with_globals));
             (let files =
                let doc = "Port-mapping file(s) whose implied encodings are \
                           analyzed in addition to the built-in shapes; \
                           repeatable." in
                Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc)
-             in
-             let simplify =
-               let doc = "Run the DRAT-certified simplification on each \
-                          encoding before analyzing it." in
-               Arg.(value & flag & info [ "simplify" ] ~doc)
              in
              let json =
                let doc = "Emit one JSON object per diagnostic instead of \
@@ -1517,19 +1328,11 @@ let () =
                (Cmd.info "enclint"
                   ~doc:"Statically analyze the CEGIS encodings (guard \
                         structure, cardinality-network bounds, retired-row \
-                        reachability, cube-split hints) without running the \
-                        solver; exits non-zero on any error-severity \
-                        diagnostic")
-               Term.(const (fun files simplify json reduced seed verbose
-                             dump_cnf certify cubes enclint enclint_simplify
-                             mapcheck store trace metrics ->
-                   with_logs (enclint_run files simplify json) reduced seed
-                     verbose dump_cnf certify cubes enclint enclint_simplify
-                     mapcheck store trace metrics)
-                     $ files $ simplify $ json $ reduced $ seed $ verbose
-                     $ dump_cnf $ certify_flag $ cubes_flag
-                     $ enclint_global_flag $ enclint_simplify_flag
-                     $ mapcheck_flag $ store_flag $ trace_out $ metrics));
+                        reachability) without running the solver; exits \
+                        non-zero on any error-severity diagnostic")
+               Term.(const (fun files json run ->
+                   run (enclint_run files json))
+                     $ files $ json $ with_globals));
             (let schedules =
                let doc = "Number of deterministic replay schedules to shake \
                           each parallel workload through (capped at the \
@@ -1550,21 +1353,14 @@ let () =
              in
              Cmd.v
                (Cmd.info "sanitize"
-                  ~doc:"Run the parallel workloads (pool primitives, solver \
-                        portfolio, cube-and-conquer, CEGIS sweeps, harness \
-                        cache) under the vector-clock race detector, across \
-                        OS scheduling and deterministic schedule replay; \
-                        exits non-zero on any data race")
-               Term.(const (fun schedules plant json reduced seed verbose
-                             dump_cnf certify cubes enclint enclint_simplify
-                             mapcheck store trace metrics ->
-                   with_logs (sanitize schedules plant json) reduced seed
-                     verbose dump_cnf certify cubes enclint enclint_simplify
-                     mapcheck store trace metrics)
-                     $ schedules $ plant $ json $ reduced $ seed $ verbose
-                     $ dump_cnf $ certify_flag $ cubes_flag
-                     $ enclint_global_flag $ enclint_simplify_flag
-                     $ mapcheck_flag $ store_flag $ trace_out $ metrics));
+                  ~doc:"Run the parallel workloads (pool primitives, CEGIS \
+                        distinguishing search and validation sweeps, delta \
+                        batches, harness cache) under the vector-clock race \
+                        detector, across OS scheduling and deterministic \
+                        schedule replay; exits non-zero on any data race")
+               Term.(const (fun schedules plant json run ->
+                   run (sanitize schedules plant json))
+                     $ schedules $ plant $ json $ with_globals));
             (let json =
                let doc = "Emit a JSON object instead of human-readable text." in
                Arg.(value & flag & info [ "json" ] ~doc)

@@ -1,9 +1,8 @@
-(** EncLint: solver-free static analysis of a constructed CEGIS encoding,
-    plus DRAT-certified simplification.
+(** EncLint: solver-free static analysis of a constructed CEGIS encoding.
 
     The encoding layer ([Pmi_core.Encoding]) describes itself through a
     {!view} — rows, activation literals, recorded cardinality networks,
-    theory lemmas, frozen assumptions, the cube-split hint — and
+    theory lemmas, frozen assumptions — and
     {!analyze} cross-checks that description against the solver's
     problem-clause database without ever calling [solve]:
 
@@ -12,8 +11,7 @@
     network clause without its [¬act] literal), [unguarded-row] (a live
     row with no activation in a guarded encoding), [retired-reachable]
     (retired-row literals in live, non-root-satisfied clauses, or a
-    retirement that never forced [¬act]), [split-dead] (cube-split hints
-    over root-assigned or retired variables), [frozen-unused].
+    retirement that never forced [¬act]), [frozen-unused].
 
     {b Semantic} — [card-bound]/[card-guard]/[bound-mismatch]: every
     recorded [Card] network with at most [max_cone] inputs is verified
@@ -46,11 +44,10 @@ type view = {
   lemmas : Pmi_smt.Lit.t list list;    (** theory lemmas asserted so far *)
   frozen : Pmi_smt.Lit.t list;         (** frozen assumption literals *)
   accepted : (int * bool) list;        (** accepted (pinned) assignment *)
-  hint : int list;                     (** cube-split candidate variables *)
 }
 
 val empty_view : view
-(** No rows, lemmas, frozen literals, accepted assignment, or hint —
+(** No rows, lemmas, frozen literals or accepted assignment —
     [analyze] then runs the pure CNF-level checks only. *)
 
 val analyze :
@@ -76,31 +73,7 @@ val analyze :
     [db] (default [true]) controls the clause-database passes (dead
     variables, duplicate clauses, retired-literal reachability over the
     clauses, frozen-unused).  With [~db:false] only the view-layer checks
-    run — guards, retirement root-values, split hints, cardinality cones,
+    run — guards, retirement root-values, cardinality cones,
     lemmas — which is what the CEGIS gate uses on repeat episodes of a
     solver whose database it has already vetted.  Must be called at
     decision level 0. *)
-
-(** {1 Certified simplification} *)
-
-type simplify_stats = {
-  satisfied_removed : int;   (** clauses satisfied by the root trail *)
-  subsumed_removed : int;    (** subsumed by a binary or smaller clause *)
-  strengthened : int;        (** self-subsuming resolution rewrites *)
-  blocked_removed : int;     (** blocked-clause eliminations *)
-}
-
-val total : simplify_stats -> int
-
-val simplify :
-  ?bce:bool -> ?protect:int list -> Pmi_smt.Sat.t -> simplify_stats
-(** Simplify the long problem clauses in place, emitting every rewrite
-    into the solver's DRAT trace: strengthened clauses are logged as
-    derivations ({!Pmi_smt.Sat.add_derived}), removals as deletions, so
-    [--certify] verdicts on the simplified encoding still pass the
-    independent {!Drat} checker.  Blocked-clause elimination ([?bce],
-    default on) only blocks on unnamed, unmarked, root-unassigned
-    variables outside [protect] (cardinality registers and symmetry
-    auxiliaries); each elimination records a model-reconstruction entry
-    in the solver, so SAT models keep satisfying every input clause.
-    Must be called at decision level 0, before the episode's solve. *)

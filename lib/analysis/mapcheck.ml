@@ -44,139 +44,6 @@ let excludes ~epsilon ~length { lo; hi } value =
   Rat.compare value (Rat.sub lo slack) < 0
   || Rat.compare value (Rat.add hi slack) > 0
 
-let portsets_of_cardinality ~num_ports c =
-  if num_ports < 1 || num_ports > 20 then
-    invalid_arg "Mapcheck.portsets_of_cardinality: unsupported port count";
-  let out = ref [] in
-  for mask = (1 lsl num_ports) - 1 downto 1 do
-    let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1) in
-    if popcount mask = c then out := Portset.of_mask mask :: !out
-  done;
-  !out
-
-let proper_candidates ~num_ports c =
-  List.map (fun ports -> [ (ports, 1) ]) (portsets_of_cardinality ~num_ports c)
-
-(* ------------------------------------------------------------------ *)
-(* Static refutation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Refuter = struct
-  type t = {
-    epsilon : Rat.t;
-    r_max : int;
-    bounds : Bounds.t;
-    ids : (int, unit) Hashtbl.t; (* tracked scheme ids *)
-    mutable refuted : int;
-  }
-
-  let create ?(epsilon = default_epsilon) ~num_ports ~r_max rows =
-    let bounds = Bounds.create ~num_ports in
-    let ids = Hashtbl.create 16 in
-    List.iter
-      (fun (scheme, cands) ->
-         if cands <> [] then begin
-           Bounds.set_candidates bounds scheme cands;
-           Hashtbl.replace ids (Scheme.id scheme) ()
-         end)
-      rows;
-    { epsilon; r_max; bounds; ids; refuted = 0 }
-
-  let tracked t experiment =
-    List.for_all
-      (fun (s, _) -> Hashtbl.mem t.ids (Scheme.id s))
-      (Experiment.to_counts experiment)
-
-  let surviving t scheme = Bounds.candidates t.bounds scheme
-  let refuted_count t = t.refuted
-
-  let statically_determined t experiment =
-    if not (tracked t experiment) then None
-    else
-      match Bounds.inverse_bounded ~r_max:t.r_max t.bounds experiment with
-      | iv when Bounds.is_point iv -> Some iv.lo
-      | _ ->
-        (* The pointwise interval is loose exactly when it mixes tables of
-           different candidates, so a non-point interval can still hide a
-           statically determined value — the Proper-c singleton benchmark,
-           where every c-port candidate gives the same 1/c.  When a single
-           scheme of the experiment is undetermined, pin it to each
-           candidate in turn: if every pinned interval collapses to the
-           same point, no measurement outcome could distinguish or refute
-           anything. *)
-        let multi =
-          List.filter
-            (fun (s, _) ->
-               match Bounds.candidates t.bounds s with
-               | Some (_ :: _ :: _) -> true
-               | Some _ | None -> false)
-            (Experiment.to_counts experiment)
-        in
-        (match multi with
-         | [ (scheme, _) ] ->
-           let cands =
-             Option.value ~default:[] (Bounds.candidates t.bounds scheme)
-           in
-           let pinned =
-             List.map
-               (fun u ->
-                  Bounds.inverse_bounded ~r_max:t.r_max
-                    (Bounds.pin t.bounds scheme u)
-                    experiment)
-               cands
-           in
-           (match pinned with
-            | iv0 :: rest
-              when Bounds.is_point iv0
-                   && List.for_all
-                        (fun iv ->
-                           Bounds.is_point iv && Rat.equal iv.Bounds.lo iv0.lo)
-                        rest -> Some iv0.lo
-            | _ -> None)
-         | _ -> None)
-      | exception Throughput.Unsupported _ -> None
-
-  let observe t experiment value =
-    if not (tracked t experiment) then []
-    else begin
-      let length = Experiment.length experiment in
-      let refuted = ref [] in
-      let changed = ref true in
-      (* Fixpoint over the experiment's schemes: shrinking one scheme's
-         surviving set tightens the intervals of the others. *)
-      while !changed do
-        changed := false;
-        List.iter
-          (fun (scheme, _) ->
-             match Bounds.candidates t.bounds scheme with
-             | None -> ()
-             | Some [ _ ] -> ()
-             | Some cands ->
-               let keep, drop =
-                 List.partition
-                   (fun usage ->
-                      let pinned = Bounds.pin t.bounds scheme usage in
-                      let iv =
-                        Bounds.inverse_bounded ~r_max:t.r_max pinned experiment
-                      in
-                      not (excludes ~epsilon:t.epsilon ~length iv value))
-                   cands
-               in
-               (* keep = [] would mean the observation contradicts the model
-                  class; leave the scheme alone and let the SAT loop surface
-                  the inconsistency. *)
-               if drop <> [] && keep <> [] then begin
-                 Bounds.set_candidates t.bounds scheme keep;
-                 t.refuted <- t.refuted + List.length drop;
-                 refuted := List.map (fun u -> (scheme, u)) drop @ !refuted;
-                 changed := true
-               end)
-          (Experiment.to_counts experiment)
-      done;
-      List.rev !refuted
-    end
-end
-
 (* ------------------------------------------------------------------ *)
 (* Dominance analysis                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -8,7 +8,7 @@
     ranges over a non-empty set of candidate usages, and each experiment
     evaluates to a sound throughput {e interval} covering all completions.
 
-    Three layers build on the domain:
+    Two layers build on the domain:
 
     - {b Auditor} ({!audit_mapping}, {!audit_profile}, {!builtin}) — emits
       {!Pmi_diag.Diag} findings: counter-consistency replays of recorded
@@ -20,17 +20,10 @@
       (frontend-masked schemes that can never bottleneck, profile/mapping
       arity drift, empty candidate rows).
 
-    - {b Static refutation} ({!Refuter}) — the CEGIS hook behind
-      [config.mapcheck]/[--mapcheck]: maintains the surviving candidate row
-      set of every scheme, refutes candidates whose interval excludes an
-      already-observed value before any SAT episode is paid, and recognises
-      experiments whose outcome is statically determined (a point interval)
-      so their harness measurement can be skipped.
-
-    - {b Symmetry facts} ({!interchangeable_ports}) — port pairs whose swap
-      leaves a mapping invariant; [Cegis] feeds them to [Encoding] as
-      symmetry-breaking facts for delta sessions (which run with global
-      symmetry breaking off because frozen rows pin port identities). *)
+    - {b Dominance analysis} ({!interchangeable_ports},
+      {!dominated_ports}) — port pairs whose swap leaves a mapping
+      invariant, and ports whose every port set is covered by another;
+      the auditor reports both as warnings. *)
 
 type severity = Pmi_diag.Diag.severity =
   | Error
@@ -63,74 +56,14 @@ val excludes :
 (** [excludes ~epsilon ~length iv v]: [v] lies outside
     [[lo - ε·length, hi + ε·length]] — the interval-level analogue of the
     harness' [cpi_equal] tolerance, so no value the CEGIS loop would accept
-    as consistent is ever refuted. *)
-
-val portsets_of_cardinality : num_ports:int -> int -> Pmi_portmap.Portset.t list
-(** All [C(num_ports, c)] port sets of cardinality [c], ascending by mask. *)
-
-val proper_candidates :
-  num_ports:int -> int -> Pmi_portmap.Mapping.usage list
-(** The candidate rows of an unconstrained proper scheme with [c] ports:
-    one single-µop usage per cardinality-[c] port set. *)
-
-(** {1 Static refutation for CEGIS} *)
-
-module Refuter : sig
-  type t
-
-  val create :
-    ?epsilon:Pmi_numeric.Rat.t ->
-    num_ports:int ->
-    r_max:int ->
-    (Pmi_isa.Scheme.t * Pmi_portmap.Mapping.usage list) list ->
-    t
-  (** Track the given schemes, each starting from its full candidate-row
-      list.  Schemes with an empty candidate list are not tracked (report
-      them via {!audit_rows}).  Experiments mentioning untracked schemes
-      are ignored by {!observe} and {!statically_determined}. *)
-
-  val tracked : t -> Pmi_portmap.Experiment.t -> bool
-  (** Every scheme of the experiment is tracked. *)
-
-  val surviving :
-    t -> Pmi_isa.Scheme.t -> Pmi_portmap.Mapping.usage list option
-
-  val refuted_count : t -> int
-  (** Total candidate rows refuted so far. *)
-
-  val statically_determined :
-    t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t option
-  (** [Some v] when every surviving completion yields the same exact
-      throughput [v]: either the pointwise interval is already a point, or
-      (when a single scheme of the experiment is undetermined) pinning
-      that scheme to each candidate in turn collapses to the same point —
-      the Proper-c singleton benchmark, where every c-port candidate gives
-      1/c under the frontend bound.  Under the port-mapping model such a
-      measurement cannot refute anything, so a CEGIS run may skip it.
-      (The convergence-time validation sweep still exercises every scheme
-      against the live machine, preserving the §4.3 anomaly check.) *)
-
-  val observe :
-    t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t ->
-    (Pmi_isa.Scheme.t * Pmi_portmap.Mapping.usage) list
-  (** Record an observed inverse throughput and return the candidate rows
-      it newly refutes: candidates whose pinned interval excludes the value
-      (propagated to a fixpoint across the experiment's schemes).  Sound:
-      a refuted row appears in no completion that explains the observation
-      within ε, so asserting its negation preserves every mapping the CEGIS
-      loop could accept.  If a scheme would lose {e all} its candidates the
-      observation contradicts the model class; the scheme is left unchanged
-      and the SAT loop is left to surface the inconsistency. *)
-end
+    as consistent is ever flagged. *)
 
 (** {1 Dominance analysis} *)
 
 val interchangeable_ports : Pmi_portmap.Mapping.t -> (int * int) list
 (** Pairs [p < q] whose swap maps every usage of the mapping onto itself.
     Such ports are observationally indistinguishable: any completion
-    remains consistent under the swap, so the pairs are safe
-    symmetry-breaking facts for encodings whose pinned rows are invariant
-    under them. *)
+    remains consistent under the swap. *)
 
 val dominated_ports : Pmi_portmap.Mapping.t -> (int * int) list
 (** Pairs [(p, q)] with [p ≠ q] where every port set containing [p] also

@@ -14,9 +14,9 @@
 
     The detector is {e off} by default.  Every entry point starts with a
     single [Atomic.get] on the enable flag and returns immediately when
-    disabled, so instrumented hot paths (pool cursors, solver portfolios,
+    disabled, so instrumented hot paths (pool cursors, CEGIS logs,
     harness caches) pay one predictable branch — see the
-    [ablation/sanitize-off-portfolio] bench.  When enabled, all shadow
+    [ablation/sanitize-off-cegis-domains-2] bench.  When enabled, all shadow
     bookkeeping runs under one global mutex: sanitizing serializes the
     program, which is fine because races are found by {e logical}
     interleavings (vector clocks + schedule replay in

@@ -17,15 +17,10 @@ let c_certificates = Obs.counter "cegis.certificates_checked"
 let c_candidates = Obs.counter "cegis.candidates_tried"
 let c_observations = Obs.counter "cegis.observations"
 let c_enclint_findings = Obs.counter "cegis.enclint.findings"
-let c_enclint_removed = Obs.counter "cegis.enclint.clauses_removed"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
-let c_mapcheck_refuted = Obs.counter "cegis.mapcheck.refuted_rows"
-let c_mapcheck_saved = Obs.counter "cegis.mapcheck.measurements_saved"
-let c_mapcheck_symmetries = Obs.counter "cegis.mapcheck.symmetry_facts"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_warm_obs = Obs.counter "cegis.warm_observations"
 
-module Mapcheck = Pmi_analysis.Mapcheck
 module IntSet = Set.Make (Int)
 
 (* Process-wide episode tally; per-run numbers are snapshots around one
@@ -52,16 +47,10 @@ type config = {
   max_other_candidates : int;
   max_iterations : int;
   symmetry_breaking : bool;
-  incremental_sat : bool;
-  memoized_oracle : bool;
   domains : int;
-  cube_conquer : int;
-  clause_db_reduction : bool;
   dump_cnf : string option;
   certify : bool;
   enclint : bool;
-  enclint_simplify : bool;
-  mapcheck : bool;
   store : Pmi_store.Store.t option;
 }
 
@@ -76,16 +65,10 @@ let default_config =
     max_other_candidates = 400;
     max_iterations = 400;
     symmetry_breaking = true;
-    incremental_sat = true;
-    memoized_oracle = true;
     domains = 1;
-    cube_conquer = 0;
-    clause_db_reduction = true;
     dump_cnf = None;
     certify = false;
     enclint = false;
-    enclint_simplify = false;
-    mapcheck = false;
     store = None }
 
 type observation = {
@@ -113,12 +96,12 @@ let modeled_inverse config mapping experiment =
 (* The memoized oracle is a drop-in replacement for the naive throughput
    computation (same exact rationals); it only declines when the port count
    exceeds its dense-table bound, in which case we keep the naive path. *)
-let inverse_fn config mapping =
-  if config.memoized_oracle then
-    match Oracle.create mapping with
-    | oracle -> fun e -> Oracle.inverse_bounded ~r_max:config.r_max oracle e
-    | exception Invalid_argument _ -> modeled_inverse config mapping
-  else modeled_inverse config mapping
+let oracle_inverse config mapping =
+  match Oracle.create mapping with
+  | oracle ->
+    ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max oracle e),
+     Some oracle)
+  | exception Invalid_argument _ -> (modeled_inverse config mapping, None)
 
 let consistent config mapping obs =
   let modeled = modeled_inverse config mapping obs.experiment in
@@ -131,7 +114,7 @@ let consistent config mapping obs =
    seeded with everything already learned. *)
 let theory_check config encoding observations pool model =
   let mapping = Encoding.decode encoding model in
-  let inv = inverse_fn config mapping in
+  let inv, _ = oracle_inverse config mapping in
   let lemmas = ref [] in
   Race.touch_read obs_loc;
   Vec.iter
@@ -161,16 +144,13 @@ let fresh_encoding config specs pool =
       ~symmetry_breaking:config.symmetry_breaking ~certify:config.certify
       specs
   in
-  Pmi_smt.Sat.set_reduce_enabled (Encoding.sat encoding)
-    config.clause_db_reduction;
   Race.touch_read lemma_loc;
   Vec.iter (Pmi_smt.Sat.add_clause (Encoding.sat encoding)) pool;
   encoding
 
 (* Static gate on a constructed encoding (behind [config.enclint]): run
-   the EncLint analysis — optionally preceded by the certified
-   simplification — once per solver episode, before the episode's first
-   solve.  Two caches keep the gate sub-linear over a CEGIS run:
+   the EncLint analysis once per solver episode, before the episode's
+   first solve.  Two caches keep the gate sub-linear over a CEGIS run:
 
    - [enclint_cone_memo] is handed to the analyzer, which memoizes clean
      exhaustive cardinality-cone enumerations by network shape (the
@@ -181,9 +161,8 @@ let fresh_encoding config specs pool =
    - [enclint_db_seen] maps [Sat.id] to the retired-row signature under
      which the clause-database passes (dead vars, duplicates, retired
      reachability, frozen-unused) last ran.  Those passes only change
-     when the database does structurally: a new solver, a retirement, or
-     a simplification that removed clauses; episodes in between run the
-     view-layer checks only. *)
+     when the database does structurally: a new solver or a retirement;
+     episodes in between run the view-layer checks only. *)
 let enclint_cone_memo : (string, unit) Hashtbl.t = Hashtbl.create 64
 let enclint_db_seen : (int, string) Hashtbl.t = Hashtbl.create 16
 
@@ -208,29 +187,6 @@ let enclint_gate config ?lemmas ?frozen encoding =
       | Some s when s = retired_sig -> false
       | _ -> true
     in
-    (* Simplification rides the same trigger as the database passes: the
-       subsumption/SSR/BCE sweep is only worth its cost when the database
-       changed structurally, so it runs on a solver's first episode and
-       after each retirement (lemmas added in between wait for the next
-       trigger) — and the analysis below scans the post-simplify
-       database. *)
-    if db && config.enclint_simplify then begin
-      let stats =
-        Obs.span "cegis.enclint.simplify" (fun () ->
-            Pmi_analysis.Enclint.simplify
-              ~protect:(Encoding.protected_vars encoding) sat)
-      in
-      let removed = Pmi_analysis.Enclint.total stats in
-      Obs.add c_enclint_removed removed;
-      if removed > 0 then
-        Log.debug (fun m ->
-            m "enclint: simplified %d clause(s) (%d satisfied, %d subsumed, \
-               %d strengthened, %d blocked)"
-              removed stats.Pmi_analysis.Enclint.satisfied_removed
-              stats.Pmi_analysis.Enclint.subsumed_removed
-              stats.Pmi_analysis.Enclint.strengthened
-              stats.Pmi_analysis.Enclint.blocked_removed)
-    end;
     if db then
       Hashtbl.replace enclint_db_seen (Pmi_smt.Sat.id sat) retired_sig;
     let diags =
@@ -251,23 +207,6 @@ let enclint_gate config ?lemmas ?frozen encoding =
               (List.length errs)
               (String.concat "; "
                  (List.map Pmi_diag.Diag.to_string errs))))
-
-(* Theory-level solving: cube-and-conquer when [cube_conquer] grants split
-   variables, a diversified solver portfolio otherwise — both only when the
-   config grants more than one domain. *)
-let solve_sub config encoding ?assumptions ~check sat =
-  if config.cube_conquer > 0 && config.domains > 1 then
-    Obs.span
-      ~args:[ ("k", Obs.Int config.cube_conquer) ]
-      "cegis.cubes"
-      (fun () ->
-         Solver.solve_cubes ?assumptions ~domains:config.domains
-           ~cubes:config.cube_conquer
-           ~hint:(fun () -> Encoding.split_hint encoding)
-           ~check sat)
-  else if config.domains > 1 then
-    Solver.solve_portfolio ?assumptions ~domains:config.domains ~check sat
-  else Solver.solve ?assumptions ~check sat
 
 (* ------------------------------------------------------------------ *)
 (* Trust-but-verify layer                                              *)
@@ -355,41 +294,17 @@ let certify_sat config encoding observations model =
   end
 
 (* Every solver verdict the CEGIS loop consumes flows through here, so the
-   fresh, incremental, and portfolio paths are all certified when the knob
-   is on. *)
+   findMapping, findOtherMapping and delta paths are all certified when the
+   knob is on. *)
 let certified_solve config encoding observations ?assumptions ~check () =
   let sat = Encoding.sat encoding in
   Atomic.incr episode_count;
   Obs.incr c_sat_episodes;
-  let verdict = solve_sub config encoding ?assumptions ~check sat in
+  let verdict = Solver.solve ?assumptions ~check sat in
   (match verdict with
    | Solver.Unsat -> certify_unsat config ?assumptions sat
    | Solver.Sat model -> certify_sat config encoding observations model);
   verdict
-
-(* Candidate-row tracker behind [config.mapcheck]: every proper scheme
-   starts from all C(num_ports, c) cardinality-c rows; observations then
-   refute candidates whose throughput interval excludes the measured value.
-   Wide layouts opt out (the tracker enumerates dense candidate tables), and
-   improper schemes are simply untracked — the refuter ignores experiments
-   that mention them. *)
-let mapcheck_refuter config specs =
-  if (not config.mapcheck) || config.num_ports > 12 then None
-  else
-    let rows =
-      List.filter_map
-        (fun (s, spec) ->
-           match spec with
-           | Encoding.Proper c ->
-             Some (s, Mapcheck.proper_candidates ~num_ports:config.num_ports c)
-           | Encoding.Improper _ -> None)
-        specs
-    in
-    if rows = [] then None
-    else
-      Some
-        (Mapcheck.Refuter.create ~epsilon:config.epsilon
-           ~num_ports:config.num_ports ~r_max:config.r_max rows)
 
 let find_mapping config encoding observations pool =
   Obs.span "cegis.find_mapping" (fun () ->
@@ -521,11 +436,9 @@ let distinguishing_memoized config o1 o2 schemes =
 let distinguishing_experiment config m1 m2 schemes =
   Obs.span "cegis.distinguish" (fun () ->
       let oracles =
-        if config.memoized_oracle then
-          match (Oracle.create m1, Oracle.create m2) with
-          | o1, o2 -> Some (o1, o2)
-          | exception Invalid_argument _ -> None
-        else None
+        match (Oracle.create m1, Oracle.create m2) with
+        | o1, o2 -> Some (o1, o2)
+        | exception Invalid_argument _ -> None
       in
       match oracles with
       | Some (o1, o2) -> distinguishing_memoized config o1 o2 schemes
@@ -567,23 +480,21 @@ let sync_lemmas state pool =
   Vec.iter_from state.o_synced (Pmi_smt.Sat.add_clause sat) pool;
   state.o_synced <- Vec.length pool
 
-(* Incremental findOtherMapping: block_model clauses are only valid for the
-   duration of one call (a candidate that cannot be distinguished under the
-   current experiment bound must be reconsidered once new observations
-   arrive), so each call guards them behind a fresh activation literal that
-   is assumed during the call and retired with a unit clause afterwards. *)
-let find_other_mapping_incremental config state specs observations pool m1
+(* findOtherMapping on a persistent encoding: block_model clauses are only
+   valid for the duration of one call (a candidate that cannot be
+   distinguished under the current experiment bound must be reconsidered
+   once new observations arrive), so each call guards them behind a fresh
+   activation literal that is assumed during the call and retired with a
+   unit clause afterwards.  [frozen] are standing assumptions underneath
+   (delta sessions pin their frozen rows and activation literals there). *)
+let search_other_mapping config encoding ~specs observations pool ~frozen m1
     tried_counter =
-  Obs.span ~args:[ ("mode", Obs.Str "incremental") ] "cegis.find_other_mapping"
-  @@ fun () ->
-  sync_lemmas state pool;
-  let encoding = state.o_encoding in
   (* Gate before the per-call activation variable exists: it would read as
      an allocated-but-unconstrained (dead) variable until first assumed. *)
-  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
+  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) ~frozen encoding;
   let sat = Encoding.sat encoding in
   let act = Pmi_smt.Sat.fresh_var sat in
-  let assumptions = [ Pmi_smt.Lit.pos act ] in
+  let assumptions = Pmi_smt.Lit.pos act :: frozen in
   let retract = Pmi_smt.Lit.neg_of_var act in
   let check = theory_check config encoding observations pool in
   let schemes = List.map fst specs in
@@ -618,52 +529,21 @@ let find_other_mapping_incremental config state specs observations pool m1
     end
   in
   let result = search config.max_other_candidates in
-  (* Retire this call's blocking clauses; lemmas the solver added for us
-     during [check] are already in, so fast-forward the sync mark. *)
+  (* Retire this call's blocking clauses. *)
   Pmi_smt.Sat.add_clause sat [ retract ];
-  state.o_synced <- Vec.length pool;
   result
 
-(* [sat_acc] accumulates the throwaway encoding's solver counters so the
-   per-run statistics stay comparable with the incremental path. *)
-let find_other_mapping_fresh config specs observations pool m1 tried_counter
-    sat_acc ~register =
-  Obs.span ~args:[ ("mode", Obs.Str "fresh") ] "cegis.find_other_mapping"
+let find_other_mapping config state specs observations pool m1 tried_counter =
+  Obs.span ~args:[ ("mode", Obs.Str "incremental") ] "cegis.find_other_mapping"
   @@ fun () ->
-  let encoding = fresh_encoding config specs pool in
-  register encoding;
-  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
-  let sat = Encoding.sat encoding in
-  let check = theory_check config encoding observations pool in
-  let schemes = List.map fst specs in
-  let rec search budget =
-    if budget = 0 then begin
-      Log.warn (fun m ->
-          m "findOtherMapping: candidate budget exhausted; treating as converged");
-      None
-    end
-    else begin
-      match certified_solve config encoding observations ~check () with
-      | Solver.Unsat -> None
-      | Solver.Sat model ->
-        incr tried_counter;
-        Obs.incr c_candidates;
-        let m2 = Encoding.decode encoding model in
-        if same_mapping specs m1 m2 then begin
-          Pmi_smt.Sat.add_clause sat (Encoding.block_model encoding model);
-          search (budget - 1)
-        end
-        else begin
-          match distinguishing_experiment config m1 m2 schemes with
-          | Some e -> Some (m2, e)
-          | None ->
-            Pmi_smt.Sat.add_clause sat (Encoding.block_model encoding model);
-            search (budget - 1)
-        end
-    end
+  sync_lemmas state pool;
+  let result =
+    search_other_mapping config state.o_encoding ~specs observations pool
+      ~frozen:[] m1 tried_counter
   in
-  let result = search config.max_other_candidates in
-  sat_acc := Pmi_smt.Sat.add_stats !sat_acc (Pmi_smt.Sat.stats sat);
+  (* Lemmas the solver added for us during [check] are already in, so
+     fast-forward the sync mark. *)
+  state.o_synced <- Vec.length pool;
   result
 
 (* Canonical flooding experiments used to validate a converged mapping:
@@ -719,60 +599,44 @@ let explain ?(config = default_config) ~specs ~observations () =
    | None -> ());
   result
 
+(* Convergence-time validation: the first sweep experiment the converged
+   mapping fails to explain; [None] means the convergence is confirmed.
+   Only one refutation is reported per round so that an UNSAT can be
+   traced to a single observation (the §4.3 culprit search depends on
+   that).  Experiments already in [observations] are skipped. *)
+let validate config ~measure ~schemes observations sweep m1 =
+  Obs.span ~args:[ ("sweep", Obs.Int (Array.length sweep)) ] "cegis.validate"
+  @@ fun () ->
+  let inv, oracle = oracle_inverse config m1 in
+  let failing e =
+    Race.touch_read obs_loc;
+    if Vec.exists (fun o -> Experiment.equal o.experiment e) observations
+    then false
+    else begin
+      let cycles = measure e in
+      not
+        (Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
+           ~length:(Experiment.length e) (inv e) cycles)
+    end
+  in
+  if config.domains > 1 then begin
+    (* Warm the oracle tables before fanning out: the sweep only reads
+       shared state afterwards.  [measure] must be thread-safe here. *)
+    (match oracle with Some o -> Oracle.prepare o schemes | None -> ());
+    match Pool.find_first_index ~domains:config.domains failing sweep with
+    | Some i -> Some sweep.(i)
+    | None -> None
+  end
+  else Array.find_opt failing sweep
+
 let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
   Obs.span "cegis.infer" @@ fun () ->
   let pool = Vec.create () in
   let observations = Vec.create () in
   let episodes_before = Atomic.get episode_count in
-  (* Static refutation (MapCheck): the refuter tracks every proper scheme's
-     surviving candidate rows.  Refuted rows become clauses in every
-     standing encoding ([refutation_targets]) and are replayed into any
-     encoding built later ([refuted_log]) — all before those encodings pay
-     a SAT episode for rediscovering the contradiction. *)
-  let refuter = mapcheck_refuter config specs in
-  let refuted_log = ref [] in
-  let refutation_targets = ref [] in
-  let add_refuted scheme ports =
-    refuted_log := (scheme, ports) :: !refuted_log;
-    List.iter
-      (fun enc ->
-         Pmi_smt.Sat.add_clause (Encoding.sat enc)
-           (Encoding.refute_row enc scheme ports))
-      !refutation_targets
-  in
-  let replay_refutations enc =
-    List.iter
-      (fun (scheme, ports) ->
-         Pmi_smt.Sat.add_clause (Encoding.sat enc)
-           (Encoding.refute_row enc scheme ports))
-      (List.rev !refuted_log)
-  in
-  let register_target enc =
-    refutation_targets := enc :: !refutation_targets;
-    replay_refutations enc
-  in
   let record obs =
     Race.touch_write obs_loc;
     Vec.push observations obs;
-    (match refuter with
-     | None -> ()
-     | Some r ->
-       let dropped =
-         Obs.span "cegis.mapcheck" (fun () ->
-             Mapcheck.Refuter.observe r obs.experiment obs.cycles)
-       in
-       if dropped <> [] then begin
-         Obs.add c_mapcheck_refuted (List.length dropped);
-         Log.debug (fun m ->
-             m "mapcheck: observation %s refutes %d candidate row(s)"
-               (Experiment.to_string obs.experiment) (List.length dropped));
-         List.iter
-           (fun (scheme, usage) ->
-              match usage with
-              | [ (ports, _) ] -> add_refuted scheme ports
-              | _ -> ())
-           dropped
-       end);
     obs
   in
   let observe experiment =
@@ -786,11 +650,10 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
     Vec.exists (fun o -> Experiment.equal o.experiment e) observations
   in
   (* Warm start: replay durable observations from a previous run as if
-     they had just been measured — they enter the observation log and the
-     MapCheck refuter before any encoding exists, so replayed refutations
-     land in every encoding via [register_target].  Observations naming
-     schemes outside [specs] (another stage's floods, a retry after a
-     culprit removal) are skipped. *)
+     they had just been measured — they enter the observation log before
+     any encoding exists.  Observations naming schemes outside [specs]
+     (another stage's floods, a retry after a culprit removal) are
+     skipped. *)
   (match warm_start with
    | [] -> ()
    | warm ->
@@ -820,22 +683,7 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
   List.iter
     (fun (s, _) ->
        let e = Experiment.singleton s in
-       let statically_known =
-         match refuter with
-         | Some r -> Mapcheck.Refuter.statically_determined r e <> None
-         | None -> false
-       in
-       if statically_known then begin
-         (* A point interval: under the port-mapping model every candidate
-            completion predicts the same value, so the measurement can
-            refute nothing.  The convergence-time validation sweep still
-            floods every scheme against the live machine. *)
-         Obs.incr c_mapcheck_saved;
-         Log.debug (fun m ->
-             m "mapcheck: %s statically determined; measurement skipped"
-               (Experiment.to_string e))
-       end
-       else if already_observed e then
+       if already_observed e then
          (* Warm-started: the durable store already answered this one. *)
          Log.debug (fun m ->
              m "warm start: %s already observed; measurement skipped"
@@ -843,46 +691,20 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
        else ignore (observe e))
     specs;
   let fm_encoding = fresh_encoding config specs pool in
-  register_target fm_encoding;
   let other_state =
-    if config.incremental_sat then begin
-      let o_encoding =
+    { o_encoding =
         Encoding.create ~num_ports:config.num_ports
           ~symmetry_breaking:config.symmetry_breaking
-          ~certify:config.certify specs
-      in
-      Pmi_smt.Sat.set_reduce_enabled (Encoding.sat o_encoding)
-        config.clause_db_reduction;
-      register_target o_encoding;
-      Some { o_encoding; o_synced = 0 }
-    end
-    else None
-  in
-  (* Solver counters of throwaway findOtherMapping encodings (fresh path). *)
-  let sat_extra = ref Pmi_smt.Sat.zero_stats in
-  let find_other m1 tried =
-    match other_state with
-    | Some state ->
-      find_other_mapping_incremental config state specs observations pool m1
-        tried
-    | None ->
-      find_other_mapping_fresh config specs observations pool m1 tried
-        sat_extra ~register:replay_refutations
+          ~certify:config.certify specs;
+      o_synced = 0 }
   in
   let tried = ref 0 in
-  let sat_stats () =
-    let acc = Pmi_smt.Sat.stats (Encoding.sat fm_encoding) in
-    let acc =
-      match other_state with
-      | Some state ->
-        Pmi_smt.Sat.add_stats acc
-          (Pmi_smt.Sat.stats (Encoding.sat state.o_encoding))
-      | None -> acc
-    in
-    Pmi_smt.Sat.add_stats acc !sat_extra
-  in
   let finish mk =
-    let sat = sat_stats () in
+    let sat =
+      Pmi_smt.Sat.add_stats
+        (Pmi_smt.Sat.stats (Encoding.sat fm_encoding))
+        (Pmi_smt.Sat.stats (Encoding.sat other_state.o_encoding))
+    in
     Log.info (fun m ->
         m "solver: %d decisions, %d propagations, %d conflicts, %d restarts, \
            %d learned (max glue %d), %d deleted by reduction"
@@ -893,12 +715,9 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
     (match config.dump_cnf with
      | Some prefix ->
        dump_cnf_file (Encoding.sat fm_encoding) (prefix ^ "-findmapping.cnf");
-       (match other_state with
-        | Some state ->
-          dump_cnf_file
-            (Encoding.sat state.o_encoding)
-            (prefix ^ "-findothermapping.cnf")
-        | None -> ())
+       dump_cnf_file
+         (Encoding.sat other_state.o_encoding)
+         (prefix ^ "-findothermapping.cnf")
      | None -> ());
     mk
       { iterations = 0;
@@ -909,45 +728,7 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
         sat }
   in
   let sweep = Array.of_list (validation_experiments specs) in
-  let validate m1 =
-    Obs.span ~args:[ ("sweep", Obs.Int (Array.length sweep)) ] "cegis.validate"
-    @@ fun () ->
-    (* The first sweep experiment the converged mapping fails to explain;
-       [None] means the convergence is confirmed.  Only one refutation is
-       reported per round so that an UNSAT can be traced to a single
-       observation (the §4.3 culprit search depends on that). *)
-    let inv, oracle =
-      if config.memoized_oracle then
-        match Oracle.create m1 with
-        | o ->
-          ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max o e), Some o)
-        | exception Invalid_argument _ -> (modeled_inverse config m1, None)
-      else (modeled_inverse config m1, None)
-    in
-    let failing e =
-      Race.touch_read obs_loc;
-      if
-        Vec.exists (fun o -> Experiment.equal o.experiment e) observations
-      then false
-      else begin
-        let cycles = measure e in
-        not
-          (Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-             ~length:(Experiment.length e) (inv e) cycles)
-      end
-    in
-    if config.domains > 1 then begin
-      (* Warm the oracle tables before fanning out: the sweep only reads
-         shared state afterwards.  [measure] must be thread-safe here. *)
-      (match oracle with
-       | Some o -> Oracle.prepare o (List.map fst specs)
-       | None -> ());
-      match Pool.find_first_index ~domains:config.domains failing sweep with
-      | Some i -> Some sweep.(i)
-      | None -> None
-    end
-    else Array.find_opt failing sweep
-  in
+  let schemes = List.map fst specs in
   (* One CEGIS iteration under its own span; [None] means "not settled,
      go around again".  Keeping the iteration body out of the recursion
      makes the spans siblings in the trace — iteration 57 is a peer of
@@ -963,9 +744,14 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
              (finish (fun s ->
                   No_consistent_mapping { s with iterations = iteration }))
          | Some m1 ->
-           (match find_other m1 tried with
+           (match
+              find_other_mapping config other_state specs observations pool
+                m1 tried
+            with
             | None ->
-              (match validate m1 with
+              (match
+                 validate config ~measure ~schemes observations sweep m1
+               with
                | None ->
                  Some
                    (finish (fun s ->
@@ -1012,56 +798,16 @@ type delta_outcome =
   | Delta_fallback of outcome
 
 (* findOtherMapping against a delta encoding: same per-call activation
-   discipline as the incremental path, with the session's standing
-   assumptions (frozen-row pins + row activation literals) underneath.
-   Any second consistent mapping necessarily differs on the delta rows
-   only, so a distinguishing experiment always involves a batch scheme. *)
+   discipline as the batch path, with the session's standing assumptions
+   (frozen-row pins + row activation literals) underneath.  Any second
+   consistent mapping necessarily differs on the delta rows only, so a
+   distinguishing experiment always involves a batch scheme. *)
 let find_other_mapping_delta config encoding observations pool
     base_assumptions m1 tried_counter =
   Obs.span ~args:[ ("mode", Obs.Str "delta") ] "cegis.find_other_mapping"
   @@ fun () ->
-  enclint_gate config
-    ~lemmas:(fun () -> Vec.to_list pool)
-    ~frozen:base_assumptions
-    encoding;
-  let sat = Encoding.sat encoding in
-  let act = Pmi_smt.Sat.fresh_var sat in
-  let assumptions = Pmi_smt.Lit.pos act :: base_assumptions in
-  let retract = Pmi_smt.Lit.neg_of_var act in
-  let check = theory_check config encoding observations pool in
-  let specs = Encoding.schemes encoding in
-  let schemes = List.map fst specs in
-  let rec search budget =
-    if budget = 0 then begin
-      Log.warn (fun m ->
-          m "findOtherMapping: candidate budget exhausted; treating as converged");
-      None
-    end
-    else begin
-      match certified_solve config encoding observations ~assumptions ~check () with
-      | Solver.Unsat -> None
-      | Solver.Sat model ->
-        incr tried_counter;
-        Obs.incr c_candidates;
-        let m2 = Encoding.decode encoding model in
-        if same_mapping specs m1 m2 then begin
-          Pmi_smt.Sat.add_clause sat
-            (retract :: Encoding.block_model encoding model);
-          search (budget - 1)
-        end
-        else begin
-          match distinguishing_experiment config m1 m2 schemes with
-          | Some e -> Some (m2, e)
-          | None ->
-            Pmi_smt.Sat.add_clause sat
-              (retract :: Encoding.block_model encoding model);
-            search (budget - 1)
-        end
-    end
-  in
-  let result = search config.max_other_candidates in
-  Pmi_smt.Sat.add_clause sat [ retract ];
-  result
+  search_other_mapping config encoding ~specs:(Encoding.schemes encoding)
+    observations pool ~frozen:base_assumptions m1 tried_counter
 
 (* The delta-scoped convergence sweep: the canonical flooding experiments
    restricted to pairs that involve at least one batch scheme — the
@@ -1103,8 +849,6 @@ module Delta = struct
       Encoding.create ~num_ports:config.num_ports ~symmetry_breaking:false
         ~certify:config.certify []
     in
-    Pmi_smt.Sat.set_reduce_enabled (Encoding.sat encoding)
-      config.clause_db_reduction;
     List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) specs;
     encoding
 
@@ -1210,44 +954,10 @@ module Delta = struct
         session.d_mapping <- m
       end;
       List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) batch;
-      (* MapCheck symmetry restoration: delta encodings are built without
-         symmetry breaking (frozen rows pin port identities), but any port
-         pair whose swap leaves the accepted mapping invariant is still
-         interchangeable over the batch rows.  Feed those pairs back as
-         ordering facts scoped to the fresh rows. *)
-      if config.mapcheck then begin
-        let pairs = Mapcheck.interchangeable_ports session.d_mapping in
-        List.iter
-          (fun (p, q) ->
-             Encoding.order_ports ~schemes:batch_schemes encoding p q;
-             Obs.incr c_mapcheck_symmetries)
-          pairs
-      end;
       (* One batched harness sweep over every queued scheme's singleton
          before the solver episode starts, so measurement round-trips
-         amortise across the batch.  Under MapCheck, singletons whose
-         throughput is statically determined by the model class (point
-         interval over all candidate rows) are excluded — the measurement
-         could never refute anything. *)
-      let refuter = mapcheck_refuter config batch in
-      let statically_determined e =
-        match refuter with
-        | None -> false
-        | Some r ->
-          (match Mapcheck.Refuter.statically_determined r e with
-           | Some _ ->
-             Obs.incr c_mapcheck_saved;
-             Log.debug (fun m ->
-                 m "mapcheck: skipping statically determined %s"
-                   (Experiment.to_string e));
-             true
-           | None -> false)
-      in
-      let singletons =
-        List.filter
-          (fun e -> not (statically_determined e))
-          (List.map Experiment.singleton batch_schemes)
-      in
+         amortise across the batch. *)
+      let singletons = List.map Experiment.singleton batch_schemes in
       let sweep_cycles =
         Obs.span
           ~args:[ ("experiments", Obs.Int (List.length singletons)) ]
@@ -1308,45 +1018,6 @@ module Delta = struct
           (validation_experiments_delta (Encoding.schemes encoding)
              batch_schemes)
       in
-      let validate m1 =
-        Obs.span
-          ~args:[ ("sweep", Obs.Int (Array.length sweep)) ]
-          "cegis.validate"
-        @@ fun () ->
-        let inv, oracle =
-          if config.memoized_oracle then
-            match Oracle.create m1 with
-            | o ->
-              ((fun e -> Oracle.inverse_bounded ~r_max:config.r_max o e),
-               Some o)
-            | exception Invalid_argument _ -> (modeled_inverse config m1, None)
-          else (modeled_inverse config m1, None)
-        in
-        let failing e =
-          Race.touch_read obs_loc;
-          if
-            Vec.exists
-              (fun o -> Experiment.equal o.experiment e)
-              session.d_observations
-          then false
-          else begin
-            let cycles = session.d_measure e in
-            not
-              (Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-                 ~length:(Experiment.length e) (inv e) cycles)
-          end
-        in
-        if config.domains > 1 then begin
-          (match oracle with
-           | Some o ->
-             Oracle.prepare o (List.map fst (Encoding.schemes encoding))
-           | None -> ());
-          match Pool.find_first_index ~domains:config.domains failing sweep with
-          | Some i -> Some sweep.(i)
-          | None -> None
-        end
-        else Array.find_opt failing sweep
-      in
       (* Falling back: the delta solver proved the batch inconsistent with
          the frozen rows (or a validation failure drove it there), so the
          whole live spec set is re-inferred from scratch and the session
@@ -1386,7 +1057,11 @@ module Delta = struct
                     tried
                 with
                 | None ->
-                  (match validate m1 with
+                  (match
+                     validate config ~measure:session.d_measure
+                       ~schemes:(List.map fst (Encoding.schemes encoding))
+                       session.d_observations sweep m1
+                   with
                    | None -> `Converged m1
                    | Some failure ->
                      Log.info (fun m ->

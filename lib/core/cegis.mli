@@ -25,47 +25,16 @@ type config = {
                                    convergence *)
   max_iterations : int;        (** Algorithm-2 iteration budget *)
   symmetry_breaking : bool;
-  incremental_sat : bool;      (** keep one persistent [findOtherMapping]
-                                   solver per specs set instead of rebuilding
-                                   the encoding every iteration; per-call
-                                   [block_model] clauses are guarded behind
-                                   activation literals and retired when the
-                                   call returns, while learned clauses and
-                                   theory lemmas persist (default [true]) *)
-  memoized_oracle : bool;      (** evaluate the throughput oracle against
-                                   memoized dense subset-sum tables
-                                   ({!Pmi_portmap.Oracle}) rather than
-                                   recomputing per query; exact same
-                                   rationals (default [true]) *)
   domains : int;               (** > 1 fans the stratified
-                                   distinguishing-experiment search, the
-                                   convergence validation sweep, {e and} the
-                                   SAT portfolio
-                                   ({!Pmi_smt.Solver.solve_portfolio}) out
-                                   over that many OCaml domains.  The
-                                   validation sweep calls [measure]
-                                   concurrently, so only raise this with a
-                                   thread-safe measure function (default
-                                   [1]) *)
-  cube_conquer : int;          (** > 0 replaces the SAT portfolio with
-                                   cube-and-conquer
-                                   ({!Pmi_smt.Solver.solve_cubes}): each
-                                   theory round splits the search space on
-                                   that many variables — hinted by
-                                   {!Pmi_core.Encoding.split_hint}, the
-                                   port-set rows of the most-constrained
-                                   instruction classes — into [2^k]
-                                   assumption cubes scheduled across
-                                   [domains] workers with work stealing
-                                   and continuous cross-worker clause
-                                   sharing.  Only effective with
-                                   [domains > 1] (default [0], off) *)
-  clause_db_reduction : bool;  (** let the SAT engine periodically discard
-                                   high-glue learnt clauses
-                                   ({!Pmi_smt.Sat.set_reduce_enabled});
-                                   theory lemmas and blocking clauses are
-                                   problem clauses and never touched
-                                   (default [true]) *)
+                                   distinguishing-experiment search and the
+                                   convergence validation sweep out over
+                                   that many OCaml domains; every SAT
+                                   episode stays one sequential solve, so
+                                   the inferred mapping does not depend on
+                                   it.  The validation sweep calls
+                                   [measure] concurrently, so only raise
+                                   this with a thread-safe measure function
+                                   (default [1]) *)
   dump_cnf : string option;    (** [Some prefix] writes the final CNF of
                                    each persistent solver in DIMACS format
                                    to [prefix ^ "-findmapping.cnf"] etc.,
@@ -74,9 +43,8 @@ type config = {
                                    in every solver and have the independent
                                    checker ({!Pmi_analysis.Drat}) accept a
                                    certificate for {e each} verdict the loop
-                                   consumes — UNSAT answers (fresh,
-                                   incremental-with-assumptions, and
-                                   portfolio paths alike) must re-derive as
+                                   consumes — UNSAT answers (with or
+                                   without assumptions) must re-derive as
                                    RUP, SAT models must satisfy every input
                                    clause and their decoded mapping must
                                    explain every observation under the naive
@@ -89,8 +57,8 @@ type config = {
                                    before every [findMapping] /
                                    [findOtherMapping] / delta-flush solve.
                                    Structural checks (guards, duplicates,
-                                   retired-row reachability, split hints)
-                                   re-run each episode; the exhaustive
+                                   retired-row reachability) re-run each
+                                   episode; the exhaustive
                                    cardinality-cone verification is paid
                                    once per solver instance.  Any
                                    [Error]-severity finding raises
@@ -98,44 +66,6 @@ type config = {
                                    logged and tallied under the
                                    [cegis.enclint.*] counters (default
                                    [false]) *)
-  enclint_simplify : bool;     (** with [enclint], additionally run the
-                                   DRAT-certified simplification
-                                   ({!Pmi_analysis.Enclint.simplify}) on
-                                   the episode's clause database before
-                                   analyzing: subsumption, self-subsuming
-                                   resolution, and blocked-clause
-                                   elimination over the anonymous
-                                   auxiliary variables, with every rewrite
-                                   emitted into the proof trace so
-                                   [certify] verdicts still check (default
-                                   [false]) *)
-  mapcheck : bool;             (** static refutation through the abstract
-                                   interpreter ({!Pmi_analysis.Mapcheck}):
-                                   the loop tracks every proper scheme's
-                                   candidate port sets and, on each new
-                                   observation, refutes candidates whose
-                                   sound throughput interval excludes the
-                                   measured value (same ε·|e| tolerance as
-                                   consistency) — each refutation lands as
-                                   a clause ({!Encoding.refute_row}) in
-                                   every live encoding before any solver
-                                   episode pays for rediscovering it.
-                                   Initial singleton measurements whose
-                                   value is already statically determined
-                                   (point interval across all surviving
-                                   candidates under the frontend bound)
-                                   are skipped entirely, and in delta
-                                   sessions interchangeable-port pairs of
-                                   the accepted mapping are re-fed as
-                                   ordering facts over the batch rows
-                                   ({!Encoding.order_ports}).  Refutation
-                                   is sound w.r.t. the model class, so the
-                                   inferred mapping is unchanged — only
-                                   the measurement and search effort
-                                   shrink.  Tallied under the
-                                   [cegis.mapcheck.*] counters; off for
-                                   [num_ports] > 12 where the candidate
-                                   spaces explode (default [false]) *)
   store : Pmi_store.Store.t option;
                                (** durable store for checker-accepted
                                    certificates: with [certify] on, an
@@ -181,9 +111,7 @@ type stats = {
   sat_episodes : int;               (** solver episodes this run paid for —
                                         every [findMapping] /
                                         [findOtherMapping] / delta-flush
-                                        solve, certified or not; the unit
-                                        MapCheck's static refutation tries
-                                        to save *)
+                                        solve, certified or not *)
   sat : Pmi_smt.Sat.stats;          (** aggregated solver counters across
                                         the [findMapping] and
                                         [findOtherMapping] encodings *)
@@ -217,9 +145,8 @@ val infer :
     [warm_start] (default [[]]) replays previously measured observations
     — typically {!Pmi_measure.Harness.stored_observations} from a
     durable store — before the initial singleton round: they join the
-    observation log and feed the MapCheck refuter exactly as fresh
-    measurements would, singleton measurements they already cover are
-    skipped, and the convergence-time validation sweep skips every
+    observation log exactly as fresh measurements would, singleton
+    measurements they already cover are skipped, and the convergence-time validation sweep skips every
     experiment they answer.  Observations mentioning schemes outside
     [specs] are ignored ([cegis.warm_observations] counts the replayed
     ones).  Warm starting is sound: replayed values are real

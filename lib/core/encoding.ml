@@ -259,31 +259,6 @@ let row_assumptions t =
     (fun r -> if r.act >= 0 then Some (Lit.pos r.act) else None)
     (live_rows t)
 
-(* Cube-split hint: the own-port variables of the instruction classes,
-   most constrained first.  A class's constrainedness is the summed VSIDS
-   activity of its own µop row — the classes the solver fights over the
-   most — with the catalog order as the tie-break on a fresh solver.
-   Within a row, ports are likewise ordered by activity, so the first few
-   variables of the hint are the hottest port-set literals overall.
-
-   Only live rows contribute, and root-assigned variables are dropped:
-   splitting on a decided variable (a port pinned by unit propagation, or
-   any variable of a retired delta row, all of whose constraints are
-   root-satisfied) yields one empty cube and one that re-searches the
-   whole space — the cube budget is spent without splitting anything. *)
-let split_hint t =
-  let activity v = Sat.var_activity t.solver v in
-  let row_score row =
-    Array.fold_left (fun acc v -> acc +. activity v) 0.0 row.own
-  in
-  live_rows t
-  |> List.map (fun r -> (row_score r, r))
-  |> List.stable_sort (fun (a, _) (b, _) -> compare (b : float) a)
-  |> List.concat_map (fun (_, r) ->
-      Array.to_list r.own
-      |> List.filter (fun v -> Sat.root_value t.solver v = 0)
-      |> List.stable_sort (fun a b -> compare (activity b) (activity a)))
-
 let ports_of_row model vars =
   let ports = ref Portset.empty in
   Array.iteri (fun k v -> if model.(v) then ports := Portset.add k !ports) vars;
@@ -377,96 +352,8 @@ let block_model t model =
   block_footprint t model (List.map (fun r -> r.scheme) (live_rows t))
 
 (* ------------------------------------------------------------------ *)
-(* Static refutation support (MapCheck)                                 *)
-(* ------------------------------------------------------------------ *)
-
-let refute_row t scheme ports =
-  match
-    List.find_opt (fun r -> r.live && Scheme.equal r.scheme scheme)
-      (Array.to_list t.rows)
-  with
-  | None -> invalid_arg "Encoding.refute_row: no live row for scheme"
-  | Some row ->
-    let lits = ref [] in
-    (* Guarded rows scope the refutation to their lifetime, exactly like
-       theory lemmas. *)
-    if row.act >= 0 then lits := Lit.neg_of_var row.act :: !lits;
-    Array.iteri
-      (fun k v ->
-         lits :=
-           (if Portset.mem k ports then Lit.neg_of_var v else Lit.pos v)
-           :: !lits)
-      row.own;
-    !lits
-
-let order_ports ?schemes t p q =
-  if p < 0 || q < 0 || p >= t.num_ports || q >= t.num_ports || p = q then
-    invalid_arg "Encoding.order_ports: bad port pair";
-  let selected =
-    live_rows t
-    |> List.filter (fun r ->
-        match r.spec with
-        | Improper _ -> false
-        | Proper _ ->
-          (match schemes with
-           | None -> true
-           | Some ss -> List.exists (Scheme.equal r.scheme) ss))
-  in
-  if selected <> [] then begin
-    (* Every clause of the chain carries the ¬act guard of each selected
-       guarded row: retiring any of those rows root-satisfies the fact, so
-       it can never outlive the rows it orders. *)
-    let guards =
-      List.filter_map
-        (fun r -> if r.act >= 0 then Some (Lit.neg_of_var r.act) else None)
-        selected
-    in
-    let add cl = Sat.add_clause t.solver (guards @ cl) in
-    let xs = List.map (fun r -> r.own.(p)) selected in
-    let ys = List.map (fun r -> r.own.(q)) selected in
-    (* Same lexicographic chain as the create-time column ordering. *)
-    let rec go prefix_equal xs ys =
-      match (xs, ys) with
-      | [], [] -> ()
-      | x :: xs', y :: ys' ->
-        (match prefix_equal with
-         | None -> add [ Lit.pos x; Lit.neg_of_var y ]
-         | Some a -> add [ Lit.neg_of_var a; Lit.pos x; Lit.neg_of_var y ]);
-        if xs' <> [] then begin
-          let a' = Sat.fresh_var t.solver in
-          let prefix_lits =
-            match prefix_equal with None -> [] | Some a -> [ a ]
-          in
-          List.iter
-            (fun a -> add [ Lit.neg_of_var a'; Lit.pos a ])
-            prefix_lits;
-          add [ Lit.neg_of_var a'; Lit.neg_of_var x; Lit.pos y ];
-          add [ Lit.neg_of_var a'; Lit.pos x; Lit.neg_of_var y ];
-          let base = List.map Lit.neg_of_var prefix_lits in
-          add (Lit.pos a' :: Lit.pos x :: Lit.pos y :: base);
-          add (Lit.pos a' :: Lit.neg_of_var x :: Lit.neg_of_var y :: base);
-          go (Some a') xs' ys'
-        end
-      | _, _ -> assert false
-    in
-    go None xs ys
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Static analysis support (EncLint)                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Every variable that carries encoding meaning: µop rows, selectors,
-   activation literals.  Certified simplification must never eliminate or
-   flip these — theory lemmas, blocking clauses and decode all read them —
-   whereas cardinality registers and symmetry auxiliaries are fair game. *)
-let protected_vars t =
-  Array.to_list t.rows
-  |> List.concat_map (fun r ->
-      (if r.act >= 0 then [ r.act ] else [])
-      @ Array.to_list r.own
-      @ Array.to_list r.shared
-      @ Array.to_list r.selectors)
 
 let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
   let module E = Pmi_analysis.Enclint in
@@ -489,4 +376,4 @@ let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
         (fun l -> (Lit.var l, Lit.is_pos l))
         (freeze_lits t mapping)
   in
-  { E.rows; lemmas; frozen; accepted; hint = split_hint t }
+  { E.rows; lemmas; frozen; accepted }

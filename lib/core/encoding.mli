@@ -71,8 +71,7 @@ val append_row : t -> Pmi_isa.Scheme.t -> instr_spec -> unit
 val retire_row : t -> Pmi_isa.Scheme.t -> unit
 (** Permanently drop a guarded row by unit-negating its activation literal:
     its cardinality chain and every lemma mentioning it become inert, and
-    the row disappears from {!schemes}/{!decode}/{!split_hint}/lemma
-    construction.  The variables stay in the solver.
+    the row disappears from {!schemes}/{!decode}/lemma construction.  The variables stay in the solver.
     @raise Invalid_argument if the scheme has no live row or the row is an
     unguarded creation-time row. *)
 
@@ -107,46 +106,7 @@ val block_footprint :
 val block_model : t -> bool array -> Pmi_smt.Lit.t list
 (** [block_footprint] over all schemes. *)
 
-val refute_row :
-  t -> Pmi_isa.Scheme.t -> Pmi_portmap.Portset.t -> Pmi_smt.Lit.t list
-(** A lemma clause asserting that the scheme's own µop row is {e not}
-    exactly the given port set — the MapCheck static-refutation step
-    ([Cegis] [config.mapcheck]): a candidate row whose throughput interval
-    excludes an already-observed value is ruled out before any SAT episode
-    pays for discovering it.  Like {!block_footprint}, guarded rows
-    contribute their negated activation literal, so the refutation retires
-    with the row.
-    @raise Invalid_argument if the scheme has no live row. *)
-
-val order_ports : ?schemes:Pmi_isa.Scheme.t list -> t -> int -> int -> unit
-(** Add a lexicographic column-ordering fact: column [p] ≥ column [q] read
-    along the own rows of [schemes] (default: all live proper rows).  Sound
-    whenever ports [p] and [q] are interchangeable for every row {e not}
-    covered by the constraint — in delta sessions (created with symmetry
-    breaking off because frozen rows pin port identities), MapCheck detects
-    port pairs whose swap leaves the accepted mapping invariant and feeds
-    them here over the freshly appended rows, restoring the symmetry
-    breaking the frozen rows still admit.  Clauses carry the ¬act guard of
-    every covered guarded row, so the fact never outlives the rows it
-    orders.  @raise Invalid_argument on an out-of-range or equal pair. *)
-
-val split_hint : t -> int list
-(** Cube-split hint for {!Pmi_smt.Solver.solve_cubes}: the own-port µop
-    variables of the instruction classes, most constrained first — classes
-    ranked by the summed VSIDS activity of their own µop row (catalog order
-    on a fresh solver), ports within a row likewise by activity.  Retired
-    rows and root-assigned variables are excluded — splitting on a decided
-    variable wastes the cube.  Re-query after each solve; the ranking
-    follows the search. *)
-
 (** {1 Static analysis support} *)
-
-val protected_vars : t -> int list
-(** Every variable with encoding meaning (µop rows, selectors, activation
-    literals) across live {e and} retired rows.  Certified simplification
-    ({!Pmi_analysis.Enclint.simplify}) must not eliminate these; the
-    remaining variables — cardinality registers, symmetry auxiliaries —
-    are anonymous plumbing. *)
 
 val enclint_view :
   ?lemmas:Pmi_smt.Lit.t list list ->
@@ -155,7 +115,7 @@ val enclint_view :
   t ->
   Pmi_analysis.Enclint.view
 (** Describe the encoding to the static analyzer: every row with its
-    activation literal, liveness, and recorded cardinality networks, plus
-    the current {!split_hint}.  [?lemmas] are the theory lemmas asserted
+    activation literal, liveness, and recorded cardinality networks.
+    [?lemmas] are the theory lemmas asserted
     so far, [?frozen] the delta-mode assumption literals, [?accepted] a
     mapping whose pinned assignment lemmas are vetted against. *)

@@ -117,11 +117,22 @@ let parse_exn s =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
   in
+  (* Exactly four hex digits; [int_of_string] would also take signs and
+     [_] separators, and raise instead of failing the parse. *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit = function
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "invalid \\u escape: expected four hex digits"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';

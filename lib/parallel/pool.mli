@@ -63,17 +63,6 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
-val race : ?domains:int -> ((unit -> bool) -> 'a option) array -> 'a option
-(** First-finisher-wins: run every task across the pool, each receiving a
-    [stop] callback that turns true once some task has produced a value;
-    tasks should poll it and bail out with [None].  Returns the first value
-    produced (a non-deterministic choice under true parallelism), or [None]
-    if every task returned [None].  With one domain the tasks run
-    sequentially in order and [stop] never fires.  In replay mode the
-    tasks run serially in permutation order; once one has won, the
-    remaining tasks are still invoked but see [stop () = true] from the
-    start, deterministically exercising every loser's bail-out path. *)
-
 val find_first_index : ?domains:int -> ('a -> bool) -> 'a array -> int option
 (** The {e minimal} index satisfying the predicate (deterministic even
     though evaluation order is not).  Indices at or beyond the best hit so

@@ -3,9 +3,9 @@
     Engine features: flat int-array watcher lists with blocking literals
     (propagation is allocation-free), dedicated binary-clause implication
     lists, an indexed binary max-heap for VSIDS decisions, first-UIP conflict
-    analysis with recursive clause minimization, phase saving, configurable
-    Luby or geometric restarts, and LBD-scored learnt clauses with periodic
-    clause-database reduction.
+    analysis with recursive clause minimization, phase saving, geometric
+    restarts, and LBD-scored learnt clauses with periodic clause-database
+    reduction.
 
     The solver is incremental: clauses may be added between [solve] calls
     (at decision level 0 — every call returns there), and [solve
@@ -50,26 +50,11 @@ val add_clause : t -> Lit.t list -> unit
     clause that simplifies to it) makes the solver permanently
     unsatisfiable. *)
 
-val add_derived : t -> Lit.t list -> unit
-(** Add a clause that is {e implied} by the current database (e.g. the
-    strengthened clause of a self-subsuming resolution step, which is RUP
-    by one resolution against its subsumer).  Identical to {!add_clause}
-    except that, under proof logging, the clause is recorded as a DRAT
-    derivation rather than an input axiom — the independent checker will
-    verify it instead of trusting it. *)
-
 val solve : ?assumptions:Lit.t list -> t -> result
 (** Solve under the given assumptions.  The model of a [Sat] answer assigns
     every allocated variable.  [Unsat] under assumptions means
     unsatisfiable *under those assumptions*; the solver stays usable.
     Learnt clauses persist across calls. *)
-
-val solve_opt :
-  ?assumptions:Lit.t list -> ?stop:(unit -> bool) -> t -> result option
-(** [solve] with a cooperative cancellation hook: [stop] is polled once per
-    search-loop iteration, and [None] is returned if it fired before a
-    verdict was reached.  The solver state stays valid (clauses learnt
-    during the partial run persist). *)
 
 val okay : t -> bool
 (** [false] once the clause database is unsatisfiable at level 0. *)
@@ -79,57 +64,28 @@ val num_conflicts : t -> int
 
 val stats : t -> stats
 
-(** {1 Portfolio support} *)
-
-val copy : t -> t
-(** An independent snapshot, safe to drive from another domain.  The clone
-    starts with zeroed statistics and records every clause it learns, so a
-    portfolio winner's progress can be folded back into the original via
-    [new_learnts]/[add_learnt] and [absorb_stats]. *)
-
-val new_learnts : t -> (int * Lit.t list) list
-(** Clauses learnt by a [copy] since it was created, oldest first, as
-    [(lbd, literals)] pairs.  Empty on solvers not created by [copy]. *)
-
-val add_learnt : t -> lbd:int -> Lit.t list -> unit
-(** Import a clause learnt elsewhere (e.g. by a portfolio member).  Like
-    [add_clause] but the clause is registered as learnt, so it stays
-    subject to clause-database reduction unless its glue is [<= 2]. *)
-
-val absorb_stats : t -> t -> unit
-(** [absorb_stats s clone] folds the clone's counters into [s]. *)
-
-(** {1 Cube-and-conquer support} *)
-
-val var_activity : t -> int -> float
-(** Current VSIDS activity of a variable ([0.] out of range). *)
-
-val root_value : t -> int -> int
-(** Root-level (decision level 0) assignment of a variable: [1] true,
-    [-1] false, [0] unassigned.  Call between [solve] calls. *)
-
-val most_constrained_vars : t -> int -> int list
-(** The [k] best cube-split candidates: variables unassigned at the root,
-    ranked by VSIDS activity with occurrence count over the problem
-    clauses as the tie-break (so a fresh solver still yields a meaningful
-    order), most constrained first. *)
+val set_reduce_enabled : t -> bool -> unit
+(** Enable/disable clause-database reduction (default enabled).  Only
+    tests turn it off, to get an unreduced reference run. *)
 
 (** {1 Encoding introspection (static analysis support)}
 
     Read-only views of the problem-clause database, consumed by the
-    EncLint static analyzer ([Pmi_analysis.Enclint]), plus the certified
-    clause-removal hook its simplification mode uses.  All of these must
+    EncLint static analyzer ([Pmi_analysis.Enclint]).  All of these must
     be called at decision level 0 (between [solve] calls). *)
 
 val id : t -> int
-(** A process-unique instance id (clones included), so analysis passes can
-    key per-solver side tables without retaining the solver. *)
+(** A process-unique instance id, so analysis passes can key per-solver
+    side tables without retaining the solver. *)
+
+val root_value : t -> int -> int
+(** Root-level (decision level 0) assignment of a variable: [1] true,
+    [-1] false, [0] unassigned. *)
 
 val iter_long_problem_clauses : t -> (int -> Lit.t list -> unit) -> unit
 (** Iterate [f cref lits] over every live long (>= 3 literal) problem
     clause.  Crefs remain valid until the next arena compaction (a solve
-    with clause-DB reduction, or {!remove_long_problem_clauses}); adding
-    clauses only appends, so gather → strengthen → remove is safe. *)
+    with clause-DB reduction). *)
 
 val binary_problem_clauses : t -> (Lit.t * Lit.t) list
 (** Every binary problem clause, in assertion order. *)
@@ -137,60 +93,11 @@ val binary_problem_clauses : t -> (Lit.t * Lit.t) list
 val root_units : t -> Lit.t list
 (** The decision-level-0 trail: unit-implied and asserted literals. *)
 
-val remove_long_problem_clauses : t -> (int * Lit.t option) list -> unit
-(** Remove a batch of long problem clauses by cref, logging a DRAT
-    deletion for each and rebuilding the watch lists.  The optional
-    literal marks a {e blocked-clause} removal: the clause is not implied
-    by the remaining database, so the solver records a reconstruction
-    entry and patches every later SAT model to satisfy it (flipping the
-    blocking literal when needed, newest elimination first).  Clauses
-    whose removal is implied (root-satisfied, subsumed, strengthened)
-    pass [None].  Crefs must come from {!iter_long_problem_clauses} with
-    no intervening solve. *)
-
 val mark_guard : t -> int -> unit
 (** Declare a variable to be a guard/activation literal (delta-session
-    rows, per-call blocking activations).  {!to_dimacs} annotates it, and
-    certified simplification refuses to treat it as an eliminable
-    auxiliary. *)
+    rows, per-call blocking activations).  {!to_dimacs} annotates it. *)
 
 val is_guard : t -> int -> bool
-
-val set_on_learnt : t -> (int -> Lit.t list -> unit) option -> unit
-(** Install (or clear) a hook fired synchronously as [f lbd lits] on every
-    clause the search learns — the continuous-export half of the
-    cube-and-conquer shared clause pool.  The hook runs mid-search and
-    must not reenter the solver. *)
-
-val set_on_restart : t -> (unit -> unit) option -> unit
-(** Install (or clear) a hook fired at every decision-level-0 boundary
-    inside [solve_opt] (each restart).  Importing foreign clauses via
-    {!add_learnt} is legal there; an import that exposes root
-    unsatisfiability terminates the search with [Unsat]. *)
-
-(** {1 Diversification knobs} *)
-
-val set_seed : t -> int -> unit
-(** Seed the solver's internal PRNG (used by random decisions and
-    [randomize_phases]). *)
-
-val set_random_var_freq : t -> float -> unit
-(** Probability in [[0, 1]] of picking a random decision variable instead
-    of the top of the VSIDS heap.  Default [0.]. *)
-
-val set_restart : t -> [ `Luby of int | `Geometric of int ] -> unit
-(** Restart policy: Luby sequence scaled by the given unit, or the
-    geometric policy growing by 3/2 from the given base (the default is
-    [`Geometric 300]; the portfolio diversifies over both). *)
-
-val set_reduce_enabled : t -> bool -> unit
-(** Enable/disable clause-database reduction (default enabled). *)
-
-val invert_phases : t -> unit
-(** Flip every saved phase (decision polarity). *)
-
-val randomize_phases : t -> unit
-(** Randomize every saved phase using the solver PRNG. *)
 
 (** {1 Certification} *)
 
@@ -198,8 +105,7 @@ val randomize_phases : t -> unit
     [Input] clauses are axioms asserted via {!add_clause} (problem clauses,
     cardinality chains, theory lemmas).  [Derive] clauses are additions that
     must have the reverse-unit-propagation (RUP) property with respect to
-    every step logged before them: first-UIP learnt clauses, and clauses
-    imported from a portfolio winner.  [Delete] records a clause discarded
+    every step logged before them: first-UIP learnt clauses.  [Delete] records a clause discarded
     by clause-database reduction.  Literals appear exactly as produced; the
     independent checker ([Pmi_analysis.Drat]) canonicalizes. *)
 type proof_step =
@@ -219,11 +125,6 @@ val proof : t -> proof_step list
 (** The trace so far, oldest step first. *)
 
 val proof_length : t -> int
-
-val proof_derive : t -> Lit.t list -> unit
-(** [proof_derive s lits] appends an externally justified derivation step
-    (e.g. a portfolio clone's learnt clause) to the trace.  No-op when proof
-    logging is off. *)
 
 exception Invariant_violation of string
 

@@ -1,4 +1,3 @@
-module Race = Pmi_diag.Race
 module Obs = Pmi_obs.Obs
 
 type result =
@@ -8,23 +7,22 @@ type result =
 (* Span args summarizing what a solver did between two [Sat.stats]
    snapshots — the "what did this call cost" payload on every sat.solve
    span in a trace. *)
-let stats_args ?(extra = []) (before : Sat.stats) (after : Sat.stats) =
+let stats_args (before : Sat.stats) (after : Sat.stats) =
   [ ("decisions", Obs.Int (after.Sat.decisions - before.Sat.decisions));
     ("propagations",
      Obs.Int (after.Sat.propagations - before.Sat.propagations));
     ("conflicts", Obs.Int (after.Sat.conflicts - before.Sat.conflicts));
     ("restarts", Obs.Int (after.Sat.restarts - before.Sat.restarts));
     ("learned", Obs.Int (after.Sat.learned - before.Sat.learned)) ]
-  @ extra
 
-(* [sat_span name sat f]: a span around one CDCL call whose closing args
-   carry the stats delta on [sat].  One atomic-load branch when tracing is
-   off. *)
-let sat_span ?args name sat f =
+(* [sat_span sat f]: a [sat.solve] span around one CDCL call whose closing
+   args carry the stats delta on [sat].  One atomic-load branch when
+   tracing is off. *)
+let sat_span sat f =
   if not (Obs.enabled ()) then f ()
   else begin
     let before = Sat.stats sat in
-    let frame = Obs.enter ?args name in
+    let frame = Obs.enter "sat.solve" in
     match f () with
     | r ->
       Obs.leave ~args:(stats_args before (Sat.stats sat)) frame;
@@ -60,7 +58,7 @@ let solve ?(assumptions = []) ?(max_rounds = 100_000) ~check sat =
   let rec loop round =
     if round > max_rounds then failwith "Smt.Solver.solve: theory loop diverges"
     else begin
-      match sat_span "sat.solve" sat (fun () -> Sat.solve ~assumptions sat) with
+      match sat_span sat (fun () -> Sat.solve ~assumptions sat) with
       | Sat.Unsat -> Unsat
       | Sat.Sat model ->
         (match theory_span check model with
@@ -76,660 +74,3 @@ let solve ?(assumptions = []) ?(max_rounds = 100_000) ~check sat =
     end
   in
   loop 1
-
-(* Diversification table for portfolio members.  Member 0 keeps the
-   reference configuration so a one-member portfolio behaves exactly like
-   [solve]; the others vary seed, polarity, random-decision rate, and
-   restart policy, the classic axes along which CDCL runtimes diverge. *)
-let diversify i member =
-  if i > 0 then begin
-    Sat.set_seed member (0x9E3779B9 * i);
-    match i mod 4 with
-    | 1 ->
-      Sat.invert_phases member;
-      Sat.set_restart member (`Luby 64)
-    | 2 ->
-      Sat.set_random_var_freq member 0.02;
-      Sat.set_restart member (`Geometric 100)
-    | 3 ->
-      Sat.randomize_phases member;
-      Sat.set_random_var_freq member 0.05
-    | _ ->
-      Sat.set_random_var_freq member 0.01;
-      Sat.set_restart member (`Luby 1024)
-  end
-
-(* Glue bound for importing a portfolio winner's learnt clauses back into
-   the persistent solver.  Low-LBD clauses are the ones worth keeping across
-   solves (Audemard & Simon 2009); importing everything would bloat the
-   clause database faster than reduction can prune it. *)
-let import_lbd_limit = 8
-
-let solve_portfolio ?(assumptions = []) ?(max_rounds = 100_000) ?domains
-    ~check sat =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Pmi_parallel.Pool.default_domains ()
-  in
-  if domains <= 1 then solve ~assumptions ~max_rounds ~check sat
-  else begin
-    let members = min domains 8 in
-    (* Sanitizer shadow locations: the parent solver (read by every clone
-       at copy time, written by the winner import below) and each clone's
-       private state.  The import must stay ordered after the race's join
-       edge — a loser writing the parent, or anything touching a clone
-       concurrently with its owner, is a race. *)
-    let parent_loc = Race.location "portfolio.parent-solver" in
-    let clone_locs =
-      Array.init members (fun i ->
-          Race.location (Printf.sprintf "portfolio.clone-%d" i))
-    in
-    (* One portfolio round; [None] means the theory rejected the model and
-       added lemmas, so the caller should go around again.  Keeping the
-       round in its own function lets the "sat.portfolio" span close
-       before the next round opens — rounds are siblings in the trace,
-       not a nest of max_rounds frames. *)
-    let solve_round round =
-      let round_frame =
-        if not (Obs.enabled ()) then None
-        else
-          Some
-            (Obs.enter
-               ~args:[ ("round", Obs.Int round); ("members", Obs.Int members) ]
-               "sat.portfolio")
-      in
-      let close_round args =
-        match round_frame with
-        | None -> ()
-        | Some frame -> Obs.leave ~args frame
-      in
-      (* Common verdict continuation: UNSAT concludes the call, a
-         theory-consistent model concludes it, and theory lemmas send the
-         caller around for another round. *)
-      let conclude ~round_args verdict =
-        match verdict with
-        | Sat.Unsat ->
-          close_round (round_args 0);
-          Some Unsat
-        | Sat.Sat model ->
-          (match theory_span check model with
-           | [] ->
-             close_round (round_args 0);
-             Some (Sat model)
-           | lemmas ->
-             assert (List.exists (falsified_by model) lemmas);
-             List.iter (Sat.add_clause sat) lemmas;
-             close_round (round_args (List.length lemmas));
-             None)
-      in
-      match
-        Race.touch_read parent_loc;
-        let clones =
-          Array.init members (fun i ->
-              let c = Sat.copy sat in
-              diversify i c;
-              Race.touch_write clone_locs.(i);
-              c)
-        in
-        let tasks =
-          Array.mapi
-            (fun i c ->
-               fun stop ->
-                 (* A member that starts after some other member has won
-                    exits before touching its clone at all. *)
-                 if stop () then None
-                 else begin
-                   Race.touch_write clone_locs.(i);
-                   let r =
-                     sat_span
-                       ~args:[ ("member", Obs.Int i) ]
-                       "sat.portfolio.member" c
-                       (fun () -> Sat.solve_opt ~assumptions ~stop c)
-                   in
-                   Race.touch_write clone_locs.(i);
-                   match r with
-                   | Some verdict -> Some (i, c, verdict)
-                   | None -> None
-                 end)
-            clones
-        in
-        match Pmi_parallel.Pool.race ~domains:members tasks with
-        | None ->
-          (* Should be unreachable — a member only returns [None] once some
-             other member has already published a verdict — but a scheduling
-             anomaly here must not abort a whole inference run.  Degrade
-             gracefully: solve the round sequentially on the parent, whose
-             proof trace and learnt clauses accrue natively. *)
-          Race.touch_write parent_loc;
-          let verdict =
-            sat_span "sat.solve" sat (fun () -> Sat.solve ~assumptions sat)
-          in
-          conclude
-            ~round_args:(fun lemmas ->
-              [ ("winner", Obs.Int (-1));
-                ("learnt_imported", Obs.Int 0);
-                ("lemmas", Obs.Int lemmas) ])
-            verdict
-        | Some (wi, winner, verdict) ->
-          Race.touch_read clone_locs.(wi);
-          Race.touch_write parent_loc;
-          (* Certification: clones never log their own trace, so replay the
-             winner's *entire* learnt sequence into the parent's proof
-             first, in learning order.  Each clause is RUP w.r.t. the shared
-             clause database plus the winner's earlier learnts, so the
-             sequence is a valid DRAT suffix — and it must precede the
-             selective imports below, whose RUP certificates depend on
-             winner learnts that fall outside the LBD bound. *)
-          let winner_learnts = Sat.new_learnts winner in
-          if Sat.proof_logging sat then
-            List.iter (fun (_, lits) -> Sat.proof_derive sat lits)
-              winner_learnts;
-          (* Fold the winner's work back into the persistent encoding: its
-             low-glue learnt clauses (all implied by the clause database
-             alone, so safe to keep) and its search counters. *)
-          let imported = ref 0 in
-          List.iter
-            (fun (lbd, lits) ->
-               if lbd <= import_lbd_limit then begin
-                 incr imported;
-                 Sat.add_learnt sat ~lbd lits
-               end)
-            winner_learnts;
-          Sat.absorb_stats sat winner;
-          conclude
-            ~round_args:(fun lemmas ->
-              [ ("winner", Obs.Int wi);
-                ("learnt_imported", Obs.Int !imported);
-                ("lemmas", Obs.Int lemmas) ])
-            verdict
-      with
-      | outcome -> outcome
-      | exception e ->
-        close_round [ ("exn", Obs.Str (Printexc.to_string e)) ];
-        raise e
-    in
-    let rec loop round =
-      if round > max_rounds then
-        failwith "Smt.Solver.solve_portfolio: theory loop diverges"
-      else
-        match solve_round round with
-        | Some verdict -> verdict
-        | None -> loop (round + 1)
-    in
-    loop 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared-clause-pool telemetry: clauses continuously exported by live
-   workers (glue <= [import_lbd_limit]) and clauses pulled in by peers at
-   their restart points. *)
-let c_cube_export = Obs.counter "sat.cube.pool.exported"
-let c_cube_import = Obs.counter "sat.cube.pool.imported"
-let c_cube_solved = Obs.counter "sat.cube.solved"
-let c_cube_resplit = Obs.counter "sat.cube.resplit"
-let c_cube_requeue = Obs.counter "sat.cube.requeued"
-
-(* Adaptive re-split policy: exhausting a conflict budget no longer forces
-   a split.  A cube is deepened only when its conflict spend marks the
-   subspace as hard — at least [cube_hard_factor] times the average spend
-   of the cubes already resolved this round (the budget itself while none
-   has resolved yet); an easy-but-unlucky cube is requeued whole with a
-   doubled budget instead, so the split tree only grows where the
-   conflicts are.  [cube_split_cap] bounds the depth as a safety net. *)
-let cube_split_cap = 16
-let cube_hard_factor = 2
-
-let cube_cover ?(hint = []) ?(assumptions = []) ~k sat =
-  let k = max 0 k in
-  let seen = Hashtbl.create 16 in
-  (* Assumption variables are pinned for the whole call — in delta-mode
-     CEGIS these are the frozen µop pins and the rows' activation
-     literals — so splitting on one would produce a dead half-cube.
-     Pre-seeding [seen] excludes them from hint and ranking alike. *)
-  List.iter (fun l -> Hashtbl.replace seen (Lit.var l) ()) assumptions;
-  let picked = ref [] in
-  let n = ref 0 in
-  let consider v =
-    if
-      !n < k && v >= 0 && (not (Hashtbl.mem seen v))
-      && Sat.root_value sat v = 0
-    then begin
-      Hashtbl.add seen v ();
-      picked := v :: !picked;
-      incr n
-    end
-  in
-  (* Caller-supplied split hint first (for CEGIS: port-set variables of the
-     most-constrained instruction classes), then the solver's own
-     activity/occurrence ranking tops the selection up to [k]. *)
-  List.iter consider hint;
-  if !n < k then
-    List.iter consider
-      (Sat.most_constrained_vars sat (k + !n + List.length assumptions));
-  let vars = List.rev !picked in
-  List.map List.rev
-    (List.fold_left
-       (fun cubes v ->
-          List.concat_map
-            (fun c -> [ Lit.pos v :: c; Lit.neg_of_var v :: c ])
-            cubes)
-       [ [] ] vars)
-
-(* Certificate stitching for an all-cubes-refuted round: each leaf's clause
-   [goal ∨ ¬cube] is already derived; walk the split tree bottom-up and
-   derive every internal node's clause by resolving its two children on the
-   node's split literal.  Each step is RUP — asserting the negation of the
-   node clause reduces both children to opposite units of the split
-   variable — and the root step derives [goal] itself (the empty clause
-   when there are no assumptions). *)
-let stitch_cube_tree sat goal leaves =
-  let ragged () = invalid_arg "Smt.Solver.solve_cubes: ragged cube tree" in
-  let rec go prefix_rev suffixes =
-    match suffixes with
-    | [ [] ] -> () (* leaf: already derived *)
-    | (l :: _) :: _ ->
-      let v = Lit.var l in
-      let pos, neg =
-        List.partition
-          (fun c ->
-             match c with
-             | l :: _ when Lit.var l = v -> Lit.is_pos l
-             | _ -> ragged ())
-          suffixes
-      in
-      if pos = [] || neg = [] then ragged ();
-      go (Lit.pos v :: prefix_rev) (List.map List.tl pos);
-      go (Lit.neg_of_var v :: prefix_rev) (List.map List.tl neg);
-      Sat.proof_derive sat (goal @ List.rev_map Lit.negate prefix_rev)
-    | _ -> ragged ()
-  in
-  go [] leaves
-
-let solve_cubes ?(assumptions = []) ?(max_rounds = 100_000) ?domains
-    ?(cubes = 3) ?(conflict_budget = 4_000) ?(hint = fun () -> []) ~check sat
-  =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Pmi_parallel.Pool.default_domains ()
-  in
-  if domains <= 1 then solve ~assumptions ~max_rounds ~check sat
-  else begin
-    let members = min domains 8 in
-    let certify = Sat.proof_logging sat in
-    (* Sanitizer shadow state: the parent solver, each worker's private
-       clone, and the two lock-protected shared structures (cube queue and
-       clause pool).  Queue and pool are only ever touched inside their
-       [Race.lock] regions, so [@sanitize] sees every access ordered. *)
-    let parent_loc = Race.location "cubes.parent-solver" in
-    let clone_locs =
-      Array.init members (fun i ->
-          Race.location (Printf.sprintf "cubes.clone-%d" i))
-    in
-    let queue_loc = Race.location "cubes.queue" in
-    let pool_loc = Race.location "cubes.clause-pool" in
-    let queue_lock = Race.create_lock "cubes.queue" in
-    let pool_lock = Race.create_lock "cubes.clause-pool" in
-    let solve_round round =
-      let round_frame =
-        if not (Obs.enabled ()) then None
-        else
-          Some
-            (Obs.enter
-               ~args:
-                 [ ("round", Obs.Int round); ("members", Obs.Int members) ]
-               "sat.cubes")
-      in
-      let close_round args =
-        match round_frame with
-        | None -> ()
-        | Some frame -> Obs.leave ~args frame
-      in
-      match
-        let conclude ~round_args verdict =
-          match verdict with
-          | Sat.Unsat ->
-            close_round (round_args 0);
-            Some Unsat
-          | Sat.Sat model ->
-            (match theory_span check model with
-             | [] ->
-               close_round (round_args 0);
-               Some (Sat model)
-             | lemmas ->
-               assert (List.exists (falsified_by model) lemmas);
-               List.iter (Sat.add_clause sat) lemmas;
-               close_round (round_args (List.length lemmas));
-               None)
-        in
-        Race.touch_read parent_loc;
-        let cover = cube_cover ~hint:(hint ()) ~assumptions ~k:cubes sat in
-        let n_cubes = List.length cover in
-        if n_cubes <= 1 then begin
-          (* No free split variable (tiny or root-decided instance): the
-             round degenerates to a sequential solve on the parent. *)
-          Race.touch_write parent_loc;
-          let verdict =
-            sat_span "sat.solve" sat (fun () -> Sat.solve ~assumptions sat)
-          in
-          conclude
-            ~round_args:(fun lemmas ->
-              [ ("cubes", Obs.Int n_cubes);
-                ("learnt_imported", Obs.Int 0);
-                ("lemmas", Obs.Int lemmas) ])
-            verdict
-        end
-        else begin
-          (* Shared cube queue (work stealing: any worker may claim or
-             re-split any cube) and shared clause pool (continuous low-glue
-             export/import between live workers). *)
-          let queue = Queue.create () in
-          List.iter (fun c -> Queue.add (0, conflict_budget, c) queue) cover;
-          let outstanding = ref n_cubes in
-          let unsat_leaves = ref [] in
-          (* Running spend of resolved cubes, the baseline the adaptive
-             re-split policy compares an exhausted cube against. *)
-          let solved_spend = ref 0 in
-          let solved_count = ref 0 in
-          let pool = ref [] in (* (owner, lbd, lits), newest first *)
-          let pool_len = ref 0 in
-          let stamp = Race.tracked_atomic ~name:"cubes.stamp" 0 in
-          let logs = Array.make members [] in (* (stamp, lits), newest first *)
-          let watermarks = Array.make members 0 in
-          let clones =
-            Array.init members (fun i ->
-                let c = Sat.copy sat in
-                diversify i c;
-                Race.touch_write clone_locs.(i);
-                c)
-          in
-          let importers =
-            Array.mapi
-              (fun w c ->
-                 (* Export: every clause worker [w] learns is stamped with a
-                    global sequence number (certification: the stamps give
-                    the one total order in which all workers' learnt logs
-                    can be replayed as a valid DRAT suffix, since a clause
-                    is always stamped before it becomes visible to any
-                    importer), and low-glue clauses are published to the
-                    pool while the worker keeps searching. *)
-                 let on_learnt lbd lits =
-                   if certify then begin
-                     let t = Race.afetch_add stamp 1 in
-                     logs.(w) <- (t, lits) :: logs.(w)
-                   end;
-                   if lbd <= import_lbd_limit then begin
-                     Race.with_lock pool_lock (fun () ->
-                         Race.touch_write pool_loc;
-                         pool := (w, lbd, lits) :: !pool;
-                         incr pool_len);
-                     if Obs.enabled () then Obs.incr c_cube_export
-                   end
-                 in
-                 (* Import: pull every pool clause published since this
-                    worker's last look (skipping its own), called at each
-                    restart (level-0 boundary) and before each cube. *)
-                 let import () =
-                   let fresh =
-                     Race.with_lock pool_lock (fun () ->
-                         Race.touch_read pool_loc;
-                         let n = !pool_len in
-                         if n = watermarks.(w) then []
-                         else begin
-                           let take = n - watermarks.(w) in
-                           watermarks.(w) <- n;
-                           List.filteri (fun i _ -> i < take) !pool
-                         end)
-                   in
-                   List.iter
-                     (fun (owner, lbd, lits) ->
-                        if owner <> w then begin
-                          Sat.add_learnt c ~lbd lits;
-                          if Obs.enabled () then Obs.incr c_cube_import
-                        end)
-                     (List.rev fresh)
-                 in
-                 Sat.set_on_learnt c (Some on_learnt);
-                 Sat.set_on_restart c (Some import);
-                 import)
-              clones
-          in
-          let tasks =
-            Array.init members (fun w ->
-                fun stop ->
-                  if stop () then None
-                  else begin
-                    let c = clones.(w) in
-                    Race.touch_write clone_locs.(w);
-                    let pop () =
-                      Race.with_lock queue_lock (fun () ->
-                          Race.touch_write queue_loc;
-                          if Queue.is_empty queue then
-                            if !outstanding = 0 then `Done else `Wait
-                          else `Cube (Queue.pop queue))
-                    in
-                    let resolve_unsat spent cube =
-                      Race.with_lock queue_lock (fun () ->
-                          Race.touch_write queue_loc;
-                          unsat_leaves := cube :: !unsat_leaves;
-                          solved_spend := !solved_spend + spent;
-                          incr solved_count;
-                          decr outstanding)
-                    in
-                    (* Adaptive deepening: an exhausted cube is split only
-                       when its spend says the subspace is hard relative to
-                       the cubes already resolved; otherwise (or at the
-                       split cap) the same cube is requeued whole with a
-                       doubled budget. *)
-                    let resplit_or_requeue splits budget spent cube =
-                      let hard =
-                        Race.with_lock queue_lock (fun () ->
-                            Race.touch_read queue_loc;
-                            let avg =
-                              if !solved_count = 0 then conflict_budget
-                              else !solved_spend / !solved_count
-                            in
-                            spent >= cube_hard_factor * max 1 avg)
-                      in
-                      if hard && splits < cube_split_cap then begin
-                        if Obs.enabled () then Obs.incr c_cube_resplit;
-                        let used = List.map Lit.var (assumptions @ cube) in
-                        let fresh =
-                          List.find_opt
-                            (fun v -> not (List.mem v used))
-                            (Sat.most_constrained_vars c
-                               (List.length used + 1))
-                        in
-                        Race.with_lock queue_lock (fun () ->
-                            Race.touch_write queue_loc;
-                            match fresh with
-                            | Some v ->
-                              Queue.add
-                                (splits + 1, conflict_budget,
-                                 cube @ [ Lit.pos v ])
-                                queue;
-                              Queue.add
-                                (splits + 1, conflict_budget,
-                                 cube @ [ Lit.neg_of_var v ])
-                                queue;
-                              incr outstanding
-                            | None ->
-                              (* No unassigned variable outside the cube:
-                                 requeue for an unbudgeted solve. *)
-                              Queue.add (splits, max_int, cube) queue)
-                      end
-                      else begin
-                        if Obs.enabled () then Obs.incr c_cube_requeue;
-                        let budget' =
-                          if budget >= max_int / 2 then max_int
-                          else 2 * budget
-                        in
-                        Race.with_lock queue_lock (fun () ->
-                            Race.touch_write queue_loc;
-                            Queue.add (splits, budget', cube) queue)
-                      end
-                    in
-                    let rec work () =
-                      if stop () then None
-                      else
-                        match pop () with
-                        | `Done -> None
-                        | `Wait ->
-                          Domain.cpu_relax ();
-                          work ()
-                        | `Cube (splits, budget, cube) ->
-                          importers.(w) ();
-                          let budgeted = budget < max_int in
-                          let start = Sat.num_conflicts c in
-                          let exceeded = ref false in
-                          let stop' () =
-                            stop ()
-                            || budgeted
-                               && Sat.num_conflicts c - start >= budget
-                               && begin
-                                 exceeded := true;
-                                 true
-                               end
-                          in
-                          let verdict =
-                            sat_span
-                              ~args:
-                                [ ("member", Obs.Int w);
-                                  ("splits", Obs.Int splits) ]
-                              "sat.cube" c
-                              (fun () ->
-                                 Sat.solve_opt
-                                   ~assumptions:(assumptions @ cube)
-                                   ~stop:stop' c)
-                          in
-                          let spent = Sat.num_conflicts c - start in
-                          (match verdict with
-                           | Some (Sat.Sat model) ->
-                             if Obs.enabled () then Obs.incr c_cube_solved;
-                             Some (w, model)
-                           | Some Sat.Unsat ->
-                             if Obs.enabled () then Obs.incr c_cube_solved;
-                             resolve_unsat spent cube;
-                             work ()
-                           | None ->
-                             if !exceeded && not (stop ()) then begin
-                               resplit_or_requeue splits budget spent cube;
-                               work ()
-                             end
-                             else None)
-                    in
-                    let r = work () in
-                    Race.touch_write clone_locs.(w);
-                    r
-                  end)
-          in
-          let outcome = Pmi_parallel.Pool.race ~domains:members tasks in
-          (* Join edge established: fold every worker's counters back (all
-             of them did real work on their cubes, not just a winner). *)
-          Race.touch_write parent_loc;
-          Array.iteri
-            (fun i c ->
-               Race.touch_read clone_locs.(i);
-               Sat.absorb_stats sat c)
-            clones;
-          (* Certification: replay all workers' learnt logs into the parent
-             trace in global stamp order.  Every clause is then RUP w.r.t.
-             the shared database plus the earlier-stamped clauses — a
-             worker's own earlier learnts and its imports are always
-             earlier-stamped — so the merged sequence is a valid DRAT
-             suffix. *)
-          let replay_logs () =
-            if certify then begin
-              let merged =
-                Array.to_list logs |> List.concat
-                |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-              in
-              List.iter (fun (_, lits) -> Sat.proof_derive sat lits) merged
-            end
-          in
-          (* Fold the pool back into the persistent encoding: every entry
-             is low-glue and implied by the clause database alone. *)
-          let import_pool () =
-            let imported = ref 0 in
-            List.iter
-              (fun (_, lbd, lits) ->
-                 incr imported;
-                 Sat.add_learnt sat ~lbd lits)
-              (List.rev !pool);
-            !imported
-          in
-          let cube_args ~winner ~imported lemmas =
-            [ ("winner", Obs.Int winner);
-              ("cubes", Obs.Int n_cubes);
-              ("learnt_imported", Obs.Int imported);
-              ("lemmas", Obs.Int lemmas) ]
-          in
-          match outcome with
-          | Some (wi, model) ->
-            (* SAT short-circuited the race; the cube literals were mere
-               assumptions, so the model is a model of the full problem. *)
-            replay_logs ();
-            let imported = import_pool () in
-            conclude
-              ~round_args:(cube_args ~winner:wi ~imported)
-              (Sat.Sat model)
-          | None ->
-            let remaining =
-              Race.with_lock queue_lock (fun () ->
-                  Race.touch_read queue_loc;
-                  !outstanding)
-            in
-            if remaining = 0 then begin
-              (* Every cube refuted: the round is UNSAT.  Stitch the
-                 certificate — merged learnt logs, one [goal ∨ ¬cube]
-                 clause per refuted leaf, then the split tautology up the
-                 tree, ending at [goal] itself. *)
-              replay_logs ();
-              if certify then begin
-                let goal = List.map Lit.negate assumptions in
-                List.iter
-                  (fun cube ->
-                     Sat.proof_derive sat
-                       (goal @ List.map Lit.negate cube))
-                  !unsat_leaves;
-                stitch_cube_tree sat goal !unsat_leaves
-              end;
-              let imported = import_pool () in
-              conclude
-                ~round_args:(cube_args ~winner:(-1) ~imported)
-                Sat.Unsat
-            end
-            else begin
-              (* Defensive fallback, mirroring [solve_portfolio]: a worker
-                 anomaly left cubes unresolved — finish the round
-                 sequentially on the parent rather than aborting. *)
-              Race.touch_write parent_loc;
-              let verdict =
-                sat_span "sat.solve" sat (fun () ->
-                    Sat.solve ~assumptions sat)
-              in
-              conclude
-                ~round_args:(cube_args ~winner:(-1) ~imported:0)
-                verdict
-            end
-        end
-      with
-      | outcome -> outcome
-      | exception e ->
-        close_round [ ("exn", Obs.Str (Printexc.to_string e)) ];
-        raise e
-    in
-    let rec loop round =
-      if round > max_rounds then
-        failwith "Smt.Solver.solve_cubes: theory loop diverges"
-      else
-        match solve_round round with
-        | Some verdict -> verdict
-        | None -> loop (round + 1)
-    in
-    loop 1
-  end

@@ -194,13 +194,13 @@ let cegis_config num_ports =
 
 (* Infer with perfect measurements from a hidden mapping and check the
    result is throughput-equivalent to the truth on all small experiments. *)
-let run_cegis ?(num_ports = 2) truth_usage =
+let run_cegis ?(num_ports = 2) ?(domains = 1) truth_usage =
   let catalog = toy_catalog (List.length truth_usage) in
   let truth = Mapping.create ~num_ports in
   List.iteri
     (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
     truth_usage;
-  let config = cegis_config num_ports in
+  let config = { (cegis_config num_ports) with Cegis.domains } in
   let measure e = Cegis.modeled_inverse config truth e in
   let specs =
     List.mapi
@@ -242,12 +242,21 @@ let check_equivalent config truth inferred schemes =
     Alcotest.failf "inferred mapping differs from truth on %s"
       (Experiment.to_string e)
 
-let test_cegis_figure4 () =
-  (* Two 1-port instructions sharing a port: Figure 4(b).  The paper's
-     distinguishing experiment for the competing hypothesis (disjoint
-     ports, Figure 4(a)) is [iA, iB]. *)
+(* Two 1-port instructions sharing a port: Figure 4(b). *)
+let figure4b_usage =
   let p0 = Portset.singleton 0 in
-  let truth, config, outcome = run_cegis [ [ (p0, 1) ]; [ (p0, 1) ] ] in
+  [ [ (p0, 1) ]; [ (p0, 1) ] ]
+
+(* A 3-port universe with overlapping sets. *)
+let three_port_usage =
+  [ [ (Portset.of_list [ 0; 1 ], 1) ];
+    [ (Portset.of_list [ 1; 2 ], 1) ];
+    [ (Portset.singleton 2, 1) ] ]
+
+let test_cegis_figure4 () =
+  (* The paper's distinguishing experiment for the competing hypothesis
+     (disjoint ports, Figure 4(a)) is [iA, iB]. *)
+  let truth, config, outcome = run_cegis figure4b_usage in
   match outcome with
   | Cegis.Converged (m, stats) ->
     check_equivalent config truth m
@@ -267,65 +276,72 @@ let test_cegis_disjoint () =
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
 
 let test_cegis_three_instructions () =
-  (* A 3-port universe with overlapping sets. *)
-  let s01 = Portset.of_list [ 0; 1 ] in
-  let s12 = Portset.of_list [ 1; 2 ] in
-  let s2 = Portset.singleton 2 in
-  let truth, config, outcome =
-    run_cegis ~num_ports:3 [ [ (s01, 1) ]; [ (s12, 1) ]; [ (s2, 1) ] ]
-  in
+  let truth, config, outcome = run_cegis ~num_ports:3 three_port_usage in
   match outcome with
   | Cegis.Converged (m, _) -> check_equivalent config truth m (Mapping.schemes m)
   | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
 
-let test_cegis_incremental_matches_fresh () =
-  (* The incremental solver path (one persistent encoding, activation
-     literals, memoized oracle) must converge on the 3-port toy exactly as
-     the fresh-encoding-per-iteration path does. *)
-  let s01 = Portset.of_list [ 0; 1 ] in
-  let s12 = Portset.of_list [ 1; 2 ] in
-  let s2 = Portset.singleton 2 in
-  let truth_usage = [ [ (s01, 1) ]; [ (s12, 1) ]; [ (s2, 1) ] ] in
-  let catalog = toy_catalog 3 in
-  let truth = Mapping.create ~num_ports:3 in
-  List.iteri
-    (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
-    truth_usage;
-  let base = cegis_config 3 in
-  let measure e = Cegis.modeled_inverse base truth e in
-  let specs =
-    List.mapi
-      (fun i usage ->
-         let ports =
-           List.fold_left (fun acc (p, _) -> acc + Portset.cardinal p) 0 usage
-         in
-         (Catalog.find catalog i, Encoding.Proper ports))
-      truth_usage
-  in
-  let run label config =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | Cegis.No_consistent_mapping _ -> Alcotest.failf "%s: unexpected UNSAT" label
-    | Cegis.Iteration_limit _ -> Alcotest.failf "%s: iteration limit" label
-  in
-  let m_inc =
-    run "incremental"
-      { base with Cegis.incremental_sat = true; memoized_oracle = true }
-  in
-  let m_fresh =
-    run "fresh"
-      { base with Cegis.incremental_sat = false; memoized_oracle = false }
-  in
-  check_equivalent base truth m_inc (Mapping.schemes m_inc);
-  check_equivalent base truth m_fresh (Mapping.schemes m_fresh);
-  (* Same trajectory, same SAT models: the mappings agree scheme by
-     scheme, not just up to throughput equivalence. *)
-  List.iter
-    (fun s ->
-       Alcotest.(check bool) (Scheme.name s) true
-         (Mapping.equal_usage (Mapping.usage m_inc s) (Mapping.usage m_fresh s)))
-    (Mapping.schemes m_inc)
+(* The default search path, pinned: the exact mapping, loop counters and
+   solver counters [Cegis.infer] reaches with the default config on the
+   Figure 4(b) and 3-port fixtures.  A change to the default search (SAT
+   engine, encoding, oracle, distinguishing order) must show up as a
+   deliberate edit of these numbers. *)
+type pinned = {
+  rows : string list;  (* inferred usage per scheme, catalog order *)
+  iterations : int;
+  candidates_tried : int;
+  theory_lemmas : int;
+  sat_episodes : int;
+  conflicts : int;
+  propagations : int;
+}
+
+let pinned_of_outcome = function
+  | Cegis.Converged (m, stats) ->
+    { rows =
+        List.map
+          (fun s -> Mapping.usage_to_string (Mapping.usage m s))
+          (Mapping.schemes m);
+      iterations = stats.Cegis.iterations;
+      candidates_tried = stats.Cegis.candidates_tried;
+      theory_lemmas = stats.Cegis.theory_lemmas;
+      sat_episodes = stats.Cegis.sat_episodes;
+      conflicts = stats.Cegis.sat.Pmi_smt.Sat.conflicts;
+      propagations = stats.Cegis.sat.Pmi_smt.Sat.propagations }
+  | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
+  | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
+
+let check_pinned expected actual =
+  Alcotest.(check (list string)) "mapping" expected.rows actual.rows;
+  Alcotest.(check int) "iterations" expected.iterations actual.iterations;
+  Alcotest.(check int) "candidates_tried" expected.candidates_tried
+    actual.candidates_tried;
+  Alcotest.(check int) "theory_lemmas" expected.theory_lemmas
+    actual.theory_lemmas;
+  Alcotest.(check int) "sat_episodes" expected.sat_episodes
+    actual.sat_episodes;
+  Alcotest.(check int) "sat.conflicts" expected.conflicts actual.conflicts;
+  Alcotest.(check int) "sat.propagations" expected.propagations
+    actual.propagations
+
+let test_cegis_pinned_figure4b () =
+  let _, _, outcome = run_cegis figure4b_usage in
+  check_pinned
+    { rows = [ "[0]"; "[0]" ];
+      iterations = 2; candidates_tried = 2; theory_lemmas = 1;
+      sat_episodes = 5; conflicts = 3; propagations = 36 }
+    (pinned_of_outcome outcome)
+
+let test_cegis_pinned_three_ports () =
+  (* [iB] lands on [0,2], not the truth's [1,2]: this is the truth with
+     ports 0 and 1 swapped, the column order symmetry breaking keeps. *)
+  let _, _, outcome = run_cegis ~num_ports:3 three_port_usage in
+  check_pinned
+    { rows = [ "[0,1]"; "[0,2]"; "[2]" ];
+      iterations = 3; candidates_tried = 5; theory_lemmas = 3;
+      sat_episodes = 9; conflicts = 13; propagations = 218 }
+    (pinned_of_outcome outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Delta mode: online incremental re-inference                         *)
@@ -503,49 +519,15 @@ let test_delta_rejects_improper () =
        Cegis.Delta.enqueue session (List.hd (List.map fst specs))
          (Encoding.Improper { own_ports = 1 }))
 
-let test_cegis_portfolio_matches_sequential () =
-  (* The SAT portfolio ([domains > 1]) and clause-database reduction may
-     change which model the solver returns, but never whether inference
-     converges or what throughputs the result predicts: every configuration
-     must land on a mapping throughput-equivalent to the truth. *)
-  let s01 = Portset.of_list [ 0; 1 ] in
-  let s12 = Portset.of_list [ 1; 2 ] in
-  let s2 = Portset.singleton 2 in
-  let truth_usage = [ [ (s01, 1) ]; [ (s12, 1) ]; [ (s2, 1) ] ] in
-  let catalog = toy_catalog 3 in
-  let truth = Mapping.create ~num_ports:3 in
-  List.iteri
-    (fun i usage -> Mapping.set truth (Catalog.find catalog i) usage)
-    truth_usage;
-  let base = cegis_config 3 in
-  let measure e = Cegis.modeled_inverse base truth e in
-  let specs =
-    List.mapi
-      (fun i usage ->
-         let ports =
-           List.fold_left (fun acc (p, _) -> acc + Portset.cardinal p) 0 usage
-         in
-         (Catalog.find catalog i, Encoding.Proper ports))
-      truth_usage
-  in
-  let run label config =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | Cegis.No_consistent_mapping _ -> Alcotest.failf "%s: unexpected UNSAT" label
-    | Cegis.Iteration_limit _ -> Alcotest.failf "%s: iteration limit" label
-  in
-  List.iter
-    (fun (label, config) ->
-       let m = run label config in
-       check_equivalent base truth m (Mapping.schemes m))
-    [ ("sequential, reduction on",
-       { base with Cegis.domains = 1; clause_db_reduction = true });
-      ("sequential, reduction off",
-       { base with Cegis.domains = 1; clause_db_reduction = false });
-      ("portfolio, reduction on",
-       { base with Cegis.domains = 3; clause_db_reduction = true });
-      ("portfolio, reduction off",
-       { base with Cegis.domains = 3; clause_db_reduction = false }) ]
+let test_cegis_parallel_matches_sequential () =
+  (* [domains > 1] fans out only the distinguishing-experiment search and
+     the validation sweep, both of which return the first hit in the
+     sequential order; the SAT episodes stay sequential.  So the parallel
+     run must retrace the sequential one exactly: same mapping, same
+     counters. *)
+  let _, _, sequential = run_cegis ~num_ports:3 three_port_usage in
+  let _, _, parallel = run_cegis ~num_ports:3 ~domains:3 three_port_usage in
+  check_pinned (pinned_of_outcome sequential) (pinned_of_outcome parallel)
 
 let test_cegis_unsat_on_anomaly () =
   (* Measurements that violate the port-mapping model (the §4.3 imul
@@ -850,10 +832,12 @@ let () =
            test_delta_fallback_on_inconsistency;
          Alcotest.test_case "delta rejects improper specs" `Quick
            test_delta_rejects_improper;
-         Alcotest.test_case "incremental matches fresh encodings" `Quick
-           test_cegis_incremental_matches_fresh;
-         Alcotest.test_case "portfolio/reduction preserve convergence" `Slow
-           test_cegis_portfolio_matches_sequential;
+         Alcotest.test_case "default path pinned on Figure 4(b)" `Quick
+           test_cegis_pinned_figure4b;
+         Alcotest.test_case "default path pinned on three ports" `Quick
+           test_cegis_pinned_three_ports;
+         Alcotest.test_case "parallel search matches sequential" `Slow
+           test_cegis_parallel_matches_sequential;
          Alcotest.test_case "UNSAT on the imul anomaly (§4.3)" `Quick
            test_cegis_unsat_on_anomaly;
          QCheck_alcotest.to_alcotest prop_cegis_sound ]);

@@ -4,16 +4,13 @@
    - clean built-in encodings (creation-time, delta append/retire) must
      produce zero findings — no false positives;
    - seeded mutations (dropped guard, wrong cardinality bound, unguarded
-     delta row, duplicate clause, dead split hints, reachable retired
-     rows) must each be flagged with the right rule;
-   - the certified simplification must leave proof traces the independent
-     DRAT checker still accepts, for UNSAT certificates and SAT model
-     replays alike, including a full certified CEGIS run with the
-     analyzer and simplifier gating every solver episode. *)
+     delta row, duplicate clause, reachable retired rows) must each be
+     flagged with the right rule;
+   - full certified CEGIS runs (batch and delta) with the analyzer gating
+     every solver episode must converge. *)
 
 open Pmi_smt
 module Enclint = Pmi_analysis.Enclint
-module Drat = Pmi_analysis.Drat
 module Diag = Pmi_diag.Diag
 module Cegis = Pmi_core.Cegis
 module Encoding = Pmi_core.Encoding
@@ -23,7 +20,6 @@ module Iclass = Pmi_isa.Iclass
 module Portset = Pmi_portmap.Portset
 module Mapping = Pmi_portmap.Mapping
 
-let is_sat = function Sat.Sat _ -> true | Sat.Unsat -> false
 let has_rule rule diags = List.exists (fun d -> d.Diag.rule = rule) diags
 
 let show diags = String.concat "; " (List.map Diag.to_string diags)
@@ -94,8 +90,7 @@ let test_clean_delta () =
 let row ?(subject = "row mut") ?(act = -1) ?(live = true) ~vars networks =
   { Enclint.subject; vars; act; live; networks }
 
-let view ?(rows = []) ?(hint = []) () =
-  { Enclint.empty_view with Enclint.rows; hint }
+let view ?(rows = []) () = { Enclint.empty_view with Enclint.rows }
 
 let test_flags_dropped_guard () =
   (* The row claims activation variable [act], but its network was built
@@ -192,50 +187,6 @@ let test_flags_retired_reachable () =
   in
   expect_error "retired-reachable" diags
 
-let test_flags_split_dead () =
-  (* Cube-split hints over a root-assigned or retired variable waste the
-     whole cube. *)
-  let s = Sat.create () in
-  let v = Sat.fresh_var s in
-  let w = Sat.fresh_var s in
-  Sat.add_clause s [ Lit.pos v ];
-  Sat.add_clause s [ Lit.pos w; Lit.neg_of_var v ];
-  (match Sat.solve s with
-   | Sat.Sat _ -> ()
-   | Sat.Unsat -> Alcotest.fail "trivially sat");
-  expect_error "split-dead" (Enclint.analyze s (view ~hint:[ v ] ()))
-
-let test_split_hint_excludes_dead () =
-  (* The encoding-side fix the reachability check motivated: retired and
-     root-assigned variables never appear in [split_hint]. *)
-  let catalog, encoding = delta_encoding () in
-  let retired_scheme = Catalog.find catalog 1 in
-  let before = Encoding.split_hint encoding in
-  Alcotest.(check bool) "hint nonempty" true (before <> []);
-  Encoding.retire_row encoding retired_scheme;
-  (match Sat.solve
-           ~assumptions:(Encoding.row_assumptions encoding)
-           (Encoding.sat encoding)
-   with
-   | Sat.Sat _ -> ()
-   | Sat.Unsat -> Alcotest.fail "delta encoding satisfiable");
-  let sat = Encoding.sat encoding in
-  let hint = Encoding.split_hint encoding in
-  Alcotest.(check bool) "hint survives retirement" true (hint <> []);
-  List.iter
-    (fun v ->
-       if Sat.root_value sat v <> 0 then
-         Alcotest.failf "hint proposes root-assigned var %d" v)
-    hint;
-  (* No split-dead finding on the fixed hint. *)
-  let diags =
-    Enclint.analyze sat
-      (Encoding.enclint_view
-         ~frozen:(Encoding.row_assumptions encoding)
-         encoding)
-  in
-  Alcotest.(check bool) "no split-dead" false (has_rule "split-dead" diags)
-
 let test_flags_frozen_unused () =
   let s = Sat.create () in
   let a = Sat.fresh_var s in
@@ -256,125 +207,6 @@ let test_flags_frozen_unused () =
   Alcotest.(check bool) "unused flagged" true (has_rule "frozen-unused" diags2)
 
 (* ------------------------------------------------------------------ *)
-(* Certified simplification                                            *)
-(* ------------------------------------------------------------------ *)
-
-let check_ok label = function
-  | Ok () -> ()
-  | Error e ->
-    Alcotest.failf "%s: certificate rejected: %s" label
-      (Format.asprintf "%a" Drat.pp_error e)
-
-let pigeonhole s ~pigeons ~holes =
-  let v =
-    Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.fresh_var s))
-  in
-  for p = 0 to pigeons - 1 do
-    Sat.add_clause s (Array.to_list (Array.map Lit.pos v.(p)))
-  done;
-  for h = 0 to holes - 1 do
-    for p1 = 0 to pigeons - 1 do
-      for p2 = p1 + 1 to pigeons - 1 do
-        Sat.add_clause s
-          [ Lit.neg_of_var v.(p1).(h); Lit.neg_of_var v.(p2).(h) ]
-      done
-    done
-  done;
-  v
-
-let test_simplify_unsat_certified () =
-  (* Simplify a pigeonhole instance padded with removable clauses, then
-     solve: the UNSAT certificate must still replay through the
-     independent checker even though the trace now interleaves the
-     simplifier's derivations and deletions. *)
-  let s = Sat.create () in
-  Sat.set_proof_logging s true;
-  let v = pigeonhole s ~pigeons:5 ~holes:4 in
-  (* A duplicate pigeon clause and a weaker (superset) one: subsumption
-     fodder. *)
-  let pigeon0 = Array.to_list (Array.map Lit.pos v.(0)) in
-  Sat.add_clause s pigeon0;
-  Sat.add_clause s (Lit.pos v.(1).(0) :: pigeon0);
-  let stats = Enclint.simplify s in
-  Alcotest.(check bool) "simplifier did work" true (Enclint.total stats > 0);
-  Alcotest.(check bool) "unsat" false (is_sat (Sat.solve s));
-  check_ok "simplified php 5/4" (Drat.check (Sat.proof s))
-
-let test_simplify_sat_model_validates () =
-  (* Blocked-clause elimination removes Input clauses the DRAT model
-     validator still checks, so the solver must reconstruct models that
-     satisfy them.  Protect the "real" variables the way the encoding
-     does; the Sinz registers are fair game. *)
-  let s = Sat.create () in
-  Sat.set_proof_logging s true;
-  let vars = List.init 6 (fun _ -> Sat.fresh_var s) in
-  ignore (Card.exactly s (List.map Lit.pos vars) 2);
-  (* A hand-built blocked clause: every resolvent on [x] is tautological,
-     so BCE drops [x ∨ a ∨ b] — but the validator still checks it. *)
-  let x = Sat.fresh_var s in
-  let a = Sat.fresh_var s in
-  let b = Sat.fresh_var s in
-  Sat.add_clause s [ Lit.pos x; Lit.pos a; Lit.pos b ];
-  Sat.add_clause s [ Lit.neg_of_var x; Lit.neg_of_var a ];
-  Sat.add_clause s [ Lit.neg_of_var x; Lit.neg_of_var b ];
-  let stats = Enclint.simplify ~protect:vars s in
-  Alcotest.(check bool) "bce removed clauses" true
-    (stats.Enclint.blocked_removed > 0);
-  match Sat.solve s with
-  | Sat.Unsat -> Alcotest.fail "exactly-2 of 6 is satisfiable"
-  | Sat.Sat model ->
-    check_ok "reconstructed model" (Drat.validate_model ~model (Sat.proof s));
-    let count = List.length (List.filter (fun v -> model.(v)) vars) in
-    Alcotest.(check int) "bound kept" 2 count
-
-let test_simplify_preserves_verdicts () =
-  (* Parity sweep: random-ish small CNFs solved with and without
-     simplification must agree, and simplified runs must keep their
-     certificates checkable. *)
-  let mk seed =
-    let s = Sat.create () in
-    Sat.set_proof_logging s true;
-    let n = 8 in
-    for _ = 1 to n do
-      ignore (Sat.fresh_var s)
-    done;
-    let state = ref (seed * 2654435761) in
-    let next bound =
-      state := (!state * 1103515245) + 12345;
-      abs (!state / 65536) mod bound
-    in
-    for _ = 1 to 24 do
-      let len = 2 + next 3 in
-      let c =
-        List.init len (fun _ -> Lit.make (next n) (next 2 = 0))
-        |> List.sort_uniq compare
-      in
-      Sat.add_clause s c
-    done;
-    s
-  in
-  for seed = 1 to 20 do
-    let plain = mk seed in
-    let simplified = mk seed in
-    ignore (Enclint.simplify simplified);
-    let a = is_sat (Sat.solve plain) in
-    let b =
-      match Sat.solve simplified with
-      | Sat.Sat model ->
-        check_ok
-          (Printf.sprintf "seed %d model" seed)
-          (Drat.validate_model ~model (Sat.proof simplified));
-        true
-      | Sat.Unsat ->
-        check_ok
-          (Printf.sprintf "seed %d unsat" seed)
-          (Drat.check (Sat.proof simplified));
-        false
-    in
-    if a <> b then Alcotest.failf "seed %d: verdict changed" seed
-  done
-
-(* ------------------------------------------------------------------ *)
 (* The CEGIS gate                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -384,13 +216,12 @@ let gated_config num_ports =
     r_max = num_ports + 1;
     max_experiment_size = 4;
     certify = true;
-    enclint = true;
-    enclint_simplify = true }
+    enclint = true }
 
 let test_cegis_gated_certified () =
-  (* The acceptance bar: a --certify run with the analyzer and the
-     simplifier gating every episode still converges, meaning every
-     certificate over the simplified encodings was checker-accepted. *)
+  (* The acceptance bar: a --certify run with the analyzer gating every
+     episode converges — no false positive aborts the run, and every
+     certificate was checker-accepted. *)
   let catalog = toy_catalog 2 in
   let num_ports = 2 in
   let truth = Mapping.create ~num_ports in
@@ -457,20 +288,10 @@ let () =
            test_flags_duplicate_clause;
          Alcotest.test_case "reachable retired row" `Quick
            test_flags_retired_reachable;
-         Alcotest.test_case "dead split hint" `Quick test_flags_split_dead;
-         Alcotest.test_case "split_hint excludes dead vars" `Quick
-           test_split_hint_excludes_dead;
          Alcotest.test_case "frozen literal unused" `Quick
            test_flags_frozen_unused ]);
-      ("simplify",
-       [ Alcotest.test_case "UNSAT certificate survives" `Quick
-           test_simplify_unsat_certified;
-         Alcotest.test_case "SAT model reconstructs" `Quick
-           test_simplify_sat_model_validates;
-         Alcotest.test_case "verdict parity + certificates" `Quick
-           test_simplify_preserves_verdicts ]);
       ("cegis-gate",
-       [ Alcotest.test_case "certified run with gate + simplify" `Quick
+       [ Alcotest.test_case "certified run with gate" `Quick
            test_cegis_gated_certified;
          Alcotest.test_case "gated delta flush" `Quick
            test_cegis_gated_delta ]) ]

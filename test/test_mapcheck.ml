@@ -1,9 +1,9 @@
 (* The @mapcheck gate: the abstract interpreter over partial port mappings
    must be sound (every completion's exact throughput lies in the computed
    interval), exact on determined mappings, loud on seeded corruption, and
-   silent on everything the repo ships.  The CEGIS hook must be a pure
-   optimisation: --mapcheck never changes the inferred mapping, only the
-   number of harness measurements paid for it. *)
+   silent on everything the repo ships.  Proof logging is bookkeeping
+   only: a certified CEGIS run, batch or delta, infers exactly the mapping
+   of the uncertified one. *)
 
 open Pmi_isa
 open Pmi_portmap
@@ -12,8 +12,6 @@ module Mapcheck = Pmi_analysis.Mapcheck
 module Bounds = Oracle.Bounds
 module Cegis = Pmi_core.Cegis
 module Encoding = Pmi_core.Encoding
-
-let rat = Alcotest.testable Rat.pp Rat.equal
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                            *)
@@ -45,10 +43,10 @@ let toy_specs =
   [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2);
     (fma, Encoding.Proper 1) ]
 
-let toy_config ?(mapcheck = false) ?(certify = false) () =
+let toy_config ?(certify = false) () =
   { Cegis.default_config with
     Cegis.num_ports = 3; r_max = toy_r_max; max_experiment_size = 4;
-    symmetry_breaking = true; mapcheck; certify }
+    symmetry_breaking = true; certify }
 
 (* ------------------------------------------------------------------ *)
 (* Interval soundness (QCheck)                                         *)
@@ -159,88 +157,6 @@ let prop_matches_naive_reference =
        Rat.equal iv.Bounds.lo lo && Rat.equal iv.Bounds.hi hi)
 
 (* ------------------------------------------------------------------ *)
-(* Refuter                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let toy_refuter () =
-  Mapcheck.Refuter.create ~num_ports:3 ~r_max:toy_r_max
-    (List.map
-       (fun (s, spec) ->
-          match spec with
-          | Encoding.Proper c ->
-            (s, Mapcheck.proper_candidates ~num_ports:3 c)
-          | Encoding.Improper _ -> assert false)
-       toy_specs)
-
-let test_statically_determined () =
-  let r = toy_refuter () in
-  (* Every c-port candidate of a Proper-c singleton benchmark gives the
-     same 1/c, so the measurement is statically determined... *)
-  Alcotest.(check (option rat)) "add singleton" (Some (Rat.of_ints 1 2))
-    (Mapcheck.Refuter.statically_determined r (Experiment.singleton add));
-  Alcotest.(check (option rat)) "fma singleton" (Some (Rat.of_int 1))
-    (Mapcheck.Refuter.statically_determined r (Experiment.singleton fma));
-  (* ... while a pair depends on whether the two port sets overlap. *)
-  Alcotest.(check (option rat)) "pair undetermined" None
-    (Mapcheck.Refuter.statically_determined r
-       (Experiment.of_list [ add; mul ]))
-
-let test_observe_refutes_soundly () =
-  let truth = toy_truth () in
-  let config = toy_config () in
-  let r = toy_refuter () in
-  let observe e =
-    ignore (Mapcheck.Refuter.observe r e (Cegis.modeled_inverse config truth e))
-  in
-  observe (Experiment.of_counts [ (add, 2); (fma, 1) ]);
-  observe (Experiment.of_list [ add; mul ]);
-  observe (Experiment.of_counts [ (mul, 2); (fma, 1) ]);
-  (* Whatever was refuted, the ground-truth rows must survive. *)
-  List.iter
-    (fun s ->
-       match Mapcheck.Refuter.surviving r s with
-       | None -> Alcotest.failf "%s lost all candidates" (Scheme.name s)
-       | Some cands ->
-         Alcotest.(check bool)
-           (Scheme.name s ^ " truth survives")
-           true
-           (List.exists
-              (fun u -> Mapping.equal_usage u (Mapping.usage truth s))
-              cands))
-    [ add; mul; fma ]
-
-let test_observe_refutes_determined () =
-  (* With both schemes free the intervals stay wide and nothing is
-     refutable; once add and mul are pinned (as in a delta session, where
-     the frozen rows are known), an observation of [2 fma + 4 mul] = 3
-     pins fma off port 0: fma={0} yields exactly 2 there. *)
-  let truth = toy_truth () in
-  let r =
-    Mapcheck.Refuter.create ~num_ports:3 ~r_max:toy_r_max
-      [ (add, [ Mapping.usage truth add ]); (mul, [ Mapping.usage truth mul ]);
-        (fma, Mapcheck.proper_candidates ~num_ports:3 1) ]
-  in
-  let e = Experiment.of_counts [ (fma, 2); (mul, 4) ] in
-  let v = Throughput.inverse_bounded ~r_max:toy_r_max truth e in
-  Alcotest.check rat "observed value" (Rat.of_int 3) v;
-  let refuted = Mapcheck.Refuter.observe r e v in
-  Alcotest.(check bool) "fma={0} refuted" true
-    (List.exists
-       (fun (s, u) ->
-          Scheme.equal s fma
-          && Mapping.equal_usage u [ (Portset.singleton 0, 1) ])
-       refuted);
-  Alcotest.(check int) "refuted count" 1 (Mapcheck.Refuter.refuted_count r);
-  match Mapcheck.Refuter.surviving r fma with
-  | Some cands ->
-    Alcotest.(check int) "two fma candidates left" 2 (List.length cands);
-    Alcotest.(check bool) "truth survives" true
-      (List.exists
-         (fun u -> Mapping.equal_usage u (Mapping.usage truth fma))
-         cands)
-  | None -> Alcotest.fail "fma untracked"
-
-(* ------------------------------------------------------------------ *)
 (* Auditor                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -338,7 +254,7 @@ let test_dominance () =
     (Mapcheck.dominated_ports d)
 
 (* ------------------------------------------------------------------ *)
-(* CEGIS equivalence: --mapcheck is a pure optimisation                *)
+(* CEGIS equivalence: certification never changes the answer          *)
 (* ------------------------------------------------------------------ *)
 
 let infer_toy config =
@@ -358,29 +274,22 @@ let check_same_mapping label m1 m2 =
          (Mapping.usage_to_string (Mapping.usage m2 s)))
     [ add; mul; fma ]
 
-let test_cegis_equivalence () =
-  let m_off, s_off = infer_toy (toy_config ()) in
-  let m_on, s_on = infer_toy (toy_config ~mapcheck:true ()) in
-  check_same_mapping "plain" m_off m_on;
-  let n_off = List.length s_off.Cegis.observations in
-  let n_on = List.length s_on.Cegis.observations in
-  if n_on >= n_off then
-    Alcotest.failf "mapcheck did not save measurements: %d -> %d" n_off n_on;
-  Alcotest.(check bool) "episodes counted" true (s_on.Cegis.sat_episodes > 0)
-
 let test_cegis_equivalence_certified () =
-  let m_off, _ = infer_toy (toy_config ~certify:true ()) in
-  let m_on, s_on = infer_toy (toy_config ~mapcheck:true ~certify:true ()) in
+  let m_off, s_off = infer_toy (toy_config ()) in
+  let m_on, s_on = infer_toy (toy_config ~certify:true ()) in
   check_same_mapping "certified" m_off m_on;
-  Alcotest.(check bool) "still saves measurements" true
-    (List.length s_on.Cegis.observations > 0)
+  Alcotest.(check int) "same measurements"
+    (List.length s_off.Cegis.observations)
+    (List.length s_on.Cegis.observations);
+  Alcotest.(check int) "same SAT episodes" s_off.Cegis.sat_episodes
+    s_on.Cegis.sat_episodes
 
 let test_delta_equivalence () =
   let truth = toy_truth () in
   let base = [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2) ] in
-  let run mapcheck =
+  let run certify =
     let config =
-      { (toy_config ~mapcheck ()) with Cegis.symmetry_breaking = false }
+      { (toy_config ~certify ()) with Cegis.symmetry_breaking = false }
     in
     let measure e = Cegis.modeled_inverse config truth e in
     let base_mapping =
@@ -399,35 +308,6 @@ let test_delta_equivalence () =
   let m_off, _ = run false in
   let m_on, _ = run true in
   check_same_mapping "delta" m_off m_on
-
-let test_delta_symmetry_facts () =
-  (* A 4-port base whose frozen rows admit the (0,1) and (2,3) swaps:
-     with --mapcheck the pairs are re-fed as ordering facts over the
-     batch row, so the indistinguishable fma ∈ {0} vs {1} ambiguity
-     resolves deterministically to the lex-smaller port 0. *)
-  let truth = Mapping.create ~num_ports:4 in
-  Mapping.set truth add [ (Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth mul [ (Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth fma [ (Portset.singleton 0, 1) ];
-  let config =
-    { Cegis.default_config with
-      Cegis.num_ports = 4; r_max = 5; max_experiment_size = 4;
-      symmetry_breaking = false; mapcheck = true }
-  in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let base = [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2) ] in
-  let base_mapping = Mapping.create ~num_ports:4 in
-  Mapping.set base_mapping add (Mapping.usage truth add);
-  Mapping.set base_mapping mul (Mapping.usage truth mul);
-  match
-    Cegis.infer_delta ~config ~measure ~mapping:base_mapping ~specs:base
-      ~updates:[ (fma, Encoding.Proper 1) ]
-      ()
-  with
-  | Cegis.Delta_applied (Cegis.Converged (m, _)) ->
-    Alcotest.(check string) "fma pinned to the lex-smaller port" "[0]"
-      (Mapping.usage_to_string (Mapping.usage m fma))
-  | _ -> Alcotest.fail "symmetric delta flush failed to converge"
 
 (* ------------------------------------------------------------------ *)
 (* Hardening pins: Mapping_io and Diff                                 *)
@@ -468,13 +348,6 @@ let () =
        qsuite
          [ prop_interval_sound; prop_point_equals_exact;
            prop_matches_naive_reference ]);
-      ("refuter",
-       [ Alcotest.test_case "statically determined singletons" `Quick
-           test_statically_determined;
-         Alcotest.test_case "observe refutes soundly" `Quick
-           test_observe_refutes_soundly;
-         Alcotest.test_case "observe refutes in determined context" `Quick
-           test_observe_refutes_determined ]);
       ("auditor",
        [ Alcotest.test_case "shipped mappings clean" `Quick test_builtin_clean;
          Alcotest.test_case "truth consistent with itself" `Quick
@@ -483,13 +356,9 @@ let () =
            test_mutations_flagged;
          Alcotest.test_case "dominance analysis" `Quick test_dominance ]);
       ("cegis",
-       [ Alcotest.test_case "mapcheck preserves the mapping" `Quick
-           test_cegis_equivalence;
-         Alcotest.test_case "certified run unchanged" `Quick
+       [ Alcotest.test_case "certified run unchanged" `Quick
            test_cegis_equivalence_certified;
-         Alcotest.test_case "delta equivalence" `Quick test_delta_equivalence;
-         Alcotest.test_case "delta symmetry facts" `Quick
-           test_delta_symmetry_facts ]);
+         Alcotest.test_case "delta equivalence" `Quick test_delta_equivalence ]);
       ("hardening",
        [ Alcotest.test_case "duplicate scheme row rejected" `Quick
            test_duplicate_row_rejected;

@@ -2,8 +2,10 @@
    monotonicity, Chrome-trace well-formedness (checked with the library's
    own JSON parser), the disabled-mode zero-allocation guarantee, the
    merged per-domain export under schedule replay with the race detector
-   watching, and the bench-regression gate against a fixture history.
-   This suite is also wired as `dune build @obs`. *)
+   watching, the bench-regression gate against a fixture history, and
+   byte-fuzzing of the external-input readers ([Json.parse],
+   [Mapping_io.of_string]), which must fail only with [Error].  This
+   suite is also wired as `dune build @obs`. *)
 
 module Obs = Pmi_obs.Obs
 module Json = Pmi_obs.Json
@@ -243,6 +245,85 @@ let test_json_roundtrip () =
   | Ok j' -> Alcotest.(check bool) "roundtrip" true (j = j')
   | Error msg -> Alcotest.failf "roundtrip parse failed: %s" msg
 
+(* Malformed \u escapes are parse errors, never exceptions.  [\u1_23]
+   is rejected too: OCaml integer literals allow [_], JSON does not. *)
+let test_json_bad_unicode_escapes () =
+  List.iter
+    (fun doc ->
+       match Json.parse doc with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.failf "accepted %S" doc
+       | exception e ->
+         Alcotest.failf "%S raised %s" doc (Printexc.to_string e))
+    [ {|"\uZZZZ"|}; {|"\u-123"|}; {|"\uD800\u00zz"|}; {|"\u1_23"|};
+      {|"\u12"|} ];
+  match Json.parse {|"\u00e9\uD83D\uDE00"|} with
+  | Ok (Json.Str s) ->
+    Alcotest.(check string) "decoded" "\xc3\xa9\xf0\x9f\x98\x80" s
+  | Ok _ | Error _ -> Alcotest.fail "valid escapes rejected"
+
+(* ------------------------------------------------------------------ *)
+(* Fuzzing the external-input readers                                  *)
+
+(* Arbitrary bytes, plus mutants of a well-formed seed document (bytes
+   overwritten, inserted or cut off), so the fuzz reaches the parser's
+   inner states as well as its first-character rejections. *)
+let fuzz_gen seed =
+  let open QCheck2.Gen in
+  let mutant =
+    let edit doc =
+      map3
+        (fun kind pos c ->
+           let n = String.length doc in
+           let pos = if n = 0 then 0 else pos mod (n + 1) in
+           match kind with
+           | 0 when pos < n -> String.mapi (fun i d -> if i = pos then c else d) doc
+           | 1 -> String.sub doc 0 pos ^ String.make 1 c ^ String.sub doc pos (n - pos)
+           | _ -> String.sub doc 0 pos)
+        (int_bound 2) nat char
+    in
+    let rec edits k doc = if k = 0 then pure doc else edit doc >>= edits (k - 1) in
+    int_range 1 4 >>= fun k -> edits k seed
+  in
+  oneof [ string_size (int_bound 64); mutant ]
+
+let never_raises name seed parse =
+  QCheck2.Test.make ~name ~count:2000 ~print:(Printf.sprintf "%S")
+    (fuzz_gen seed)
+    (fun input ->
+       match parse input with
+       | `Ok | `Error -> true
+       | exception e ->
+         QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let prop_json_never_raises =
+  never_raises "Json.parse returns Ok or Error"
+    {|{"a": [1, -2.5e3, true, null], "s": "x\n\u00e9\uD83D\uDE00"}|}
+    (fun s -> match Json.parse s with Ok _ -> `Ok | Error _ -> `Error)
+
+let fuzz_catalog =
+  Pmi_isa.Catalog.of_list
+    [ ("add", [ Pmi_isa.Operand.gpr 64 ],
+       Pmi_isa.Iclass.plain (Pmi_isa.Iclass.Single Pmi_isa.Iclass.Alu));
+      ("mul", [ Pmi_isa.Operand.gpr 64 ],
+       Pmi_isa.Iclass.plain (Pmi_isa.Iclass.Single Pmi_isa.Iclass.Alu)) ]
+
+let prop_mapping_io_never_raises =
+  let resolve = Pmi_portmap.Mapping_io.resolver fuzz_catalog in
+  let seed =
+    let m = Pmi_portmap.Mapping.create ~num_ports:4 in
+    Pmi_portmap.Mapping.set m (Pmi_isa.Catalog.find fuzz_catalog 0)
+      [ (Pmi_portmap.Portset.of_list [ 0; 1 ], 1) ];
+    Pmi_portmap.Mapping.set m (Pmi_isa.Catalog.find fuzz_catalog 1)
+      [ (Pmi_portmap.Portset.singleton 2, 2);
+        (Pmi_portmap.Portset.of_list [ 1; 3 ], 1) ];
+    "# fuzz seed\n" ^ Pmi_portmap.Mapping_io.to_string m
+  in
+  never_raises "Mapping_io.of_string returns Ok or Error" seed (fun s ->
+      match Pmi_portmap.Mapping_io.of_string ~resolve s with
+      | Ok _ -> `Ok
+      | Error _ -> `Error)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel recording                                                  *)
 
@@ -429,6 +510,8 @@ let () =
        [ Alcotest.test_case "chrome trace well-formed" `Quick
            test_chrome_trace_well_formed;
          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+         Alcotest.test_case "json rejects bad \\u escapes" `Quick
+           test_json_bad_unicode_escapes;
          Alcotest.test_case "parallel merge race-free" `Quick
            test_parallel_merged_and_race_free ]);
       ("gate",
@@ -437,4 +520,7 @@ let () =
          Alcotest.test_case "flags 2x slowdown" `Quick
            test_gate_flags_slowdown;
          Alcotest.test_case "rejects incomparable" `Quick
-           test_gate_rejects_incomparable ]) ]
+           test_gate_rejects_incomparable ]);
+      ("fuzz",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_json_never_raises; prop_mapping_io_never_raises ]) ]

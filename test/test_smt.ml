@@ -301,8 +301,8 @@ let prop_sat_matches_dpll =
 
 (* Property: incremental sequences of add_clause / solve ~assumptions give
    the same verdicts whether clause-database reduction is on or off, and
-   whether solving goes through [Sat.solve] or the domain-parallel
-   portfolio. *)
+   every model of the reducing solver satisfies every clause added so
+   far. *)
 
 let script_gen =
   let open QCheck2.Gen in
@@ -314,9 +314,9 @@ let script_gen =
   in
   map (fun steps -> (n, steps)) (list_size (int_range 2 5) step)
 
-let prop_reduction_portfolio_parity =
+let prop_reduction_parity =
   QCheck2.Test.make
-    ~name:"reduction/portfolio never change incremental verdicts" ~count:40
+    ~name:"reduction keeps incremental verdicts" ~count:40
     script_gen
     (fun (n, steps) ->
        let mk reduce =
@@ -329,7 +329,6 @@ let prop_reduction_portfolio_parity =
        in
        let with_reduction = mk true in
        let without_reduction = mk false in
-       let via_portfolio = mk true in
        let all_clauses = ref [] in
        List.for_all
          (fun (clauses, assumptions) ->
@@ -337,256 +336,22 @@ let prop_reduction_portfolio_parity =
               (fun c ->
                  all_clauses := c :: !all_clauses;
                  Sat.add_clause with_reduction c;
-                 Sat.add_clause without_reduction c;
-                 Sat.add_clause via_portfolio c)
+                 Sat.add_clause without_reduction c)
               clauses;
-            let va = is_sat (Sat.solve ~assumptions with_reduction) in
-            let vb = is_sat (Sat.solve ~assumptions without_reduction) in
-            let vc =
-              match
-                Solver.solve_portfolio ~assumptions ~domains:3
-                  ~check:(fun _ -> [])
-                  via_portfolio
-              with
-              | Solver.Sat model ->
-                (* A portfolio model must satisfy every clause added so
-                   far (assumptions aside, which only constrain further). *)
+            let va =
+              match Sat.solve ~assumptions with_reduction with
+              | Sat.Sat model ->
+                (* The model must satisfy every clause added so far
+                   (assumptions aside, which only constrain further). *)
                 List.for_all
                   (List.exists (fun l ->
                        if Lit.is_pos l then model.(Lit.var l)
                        else not model.(Lit.var l)))
                   !all_clauses
-                || QCheck2.Test.fail_report "portfolio model violates a clause"
-              | Solver.Unsat -> false
+                || QCheck2.Test.fail_report "model violates a clause"
+              | Sat.Unsat -> false
             in
-            va = vb && vb = vc)
-         steps)
-
-let test_portfolio_pigeonhole () =
-  (* The portfolio must agree with the sequential solver on an UNSAT
-     instance hard enough that members genuinely race. *)
-  let s = Sat.create () in
-  pigeonhole s ~pigeons:7 ~holes:6;
-  match
-    Solver.solve_portfolio ~domains:4 ~check:(fun _ -> []) s
-  with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "php 7/6 is unsat"
-
-(* ------------------------------------------------------------------ *)
-(* Cube-and-conquer                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Drat = Pmi_analysis.Drat
-
-let satisfies model clause =
-  List.exists
-    (fun l -> if Lit.is_pos l then model.(Lit.var l) else not model.(Lit.var l))
-    clause
-
-let test_cube_cover () =
-  (* The cover must be an exhaustive, pairwise-disjoint case split: every
-     total assignment of the split variables is consistent with exactly one
-     cube. *)
-  let s = Sat.create () in
-  let v = Array.init 6 (fun _ -> Sat.fresh_var s) in
-  Sat.add_clause s [ Lit.pos v.(0); Lit.pos v.(1) ];
-  Sat.add_clause s [ Lit.neg_of_var v.(1); Lit.pos v.(2) ];
-  Sat.add_clause s [ Lit.pos v.(2); Lit.pos v.(3); Lit.pos v.(4) ];
-  let k = 3 in
-  let cover = Solver.cube_cover ~k s in
-  Alcotest.(check int) "2^k cubes" (1 lsl k) (List.length cover);
-  let split = List.map Lit.var (List.hd cover) in
-  List.iter
-    (fun c ->
-       Alcotest.(check (list int)) "same split variables" split
-         (List.map Lit.var c))
-    cover;
-  let n = List.length split in
-  for bits = 0 to (1 lsl n) - 1 do
-    let value var =
-      let i = ref 0 in
-      List.iteri (fun j v' -> if v' = var then i := j) split;
-      bits land (1 lsl !i) <> 0
-    in
-    let agreeing =
-      List.filter
-        (List.for_all (fun l -> value (Lit.var l) = Lit.is_pos l))
-        cover
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "assignment %d hits exactly one cube" bits)
-      1
-      (List.length agreeing)
-  done
-
-let test_cube_cover_hint () =
-  (* Hinted variables are split first, in hint order; variables already
-     fixed at the root are skipped. *)
-  let s = Sat.create () in
-  let v = Array.init 5 (fun _ -> Sat.fresh_var s) in
-  Sat.add_clause s [ Lit.pos v.(0) ];
-  (match Sat.solve s with
-   | Sat.Sat _ -> ()
-   | Sat.Unsat -> Alcotest.fail "one unit clause is sat");
-  let cover = Solver.cube_cover ~hint:[ v.(0); v.(3); v.(1) ] ~k:2 s in
-  Alcotest.(check int) "4 cubes" 4 (List.length cover);
-  Alcotest.(check (list int)) "hint order, root-fixed skipped"
-    [ v.(3); v.(1) ]
-    (List.map Lit.var (List.hd cover))
-
-let test_cube_cover_assumptions () =
-  (* Assumption variables must never be split on: delta-mode CEGIS pins
-     frozen rows and activation literals through assumptions, and a split
-     on one would yield a dead half-cube.  The cover skips them and tops
-     itself up with free variables instead. *)
-  let s = Sat.create () in
-  let v = Array.init 6 (fun _ -> Sat.fresh_var s) in
-  Sat.add_clause s [ Lit.pos v.(0); Lit.pos v.(1) ];
-  Sat.add_clause s [ Lit.neg_of_var v.(0); Lit.pos v.(1) ];
-  Sat.add_clause s [ Lit.pos v.(2); Lit.pos v.(3) ];
-  Sat.add_clause s [ Lit.pos v.(4); Lit.pos v.(5) ];
-  let assumptions = [ Lit.pos v.(0); Lit.neg_of_var v.(1) ] in
-  let cover =
-    Solver.cube_cover ~hint:[ v.(0); v.(1); v.(2); v.(3) ] ~assumptions ~k:2 s
-  in
-  Alcotest.(check int) "4 cubes" 4 (List.length cover);
-  Alcotest.(check (list int)) "hinted vars minus assumption vars"
-    [ v.(2); v.(3) ]
-    (List.map Lit.var (List.hd cover));
-  (* Same without a hint: the most-constrained top-up must also skip the
-     assumption variables. *)
-  let cover' = Solver.cube_cover ~assumptions ~k:2 s in
-  List.iter
-    (fun c ->
-       List.iter
-         (fun l ->
-            List.iter
-              (fun a ->
-                 Alcotest.(check bool) "assumption var not split" false
-                   (Lit.var a = Lit.var l))
-              assumptions)
-         c)
-    cover'
-
-let test_cubes_pigeonhole () =
-  (* UNSAT through the cube race, with a conflict budget small enough that
-     hard cubes are re-split and re-queued. *)
-  let s = Sat.create () in
-  pigeonhole s ~pigeons:7 ~holes:6;
-  match
-    Solver.solve_cubes ~domains:4 ~cubes:2 ~conflict_budget:200
-      ~check:(fun _ -> [])
-      s
-  with
-  | Solver.Unsat -> ()
-  | Solver.Sat _ -> Alcotest.fail "php 7/6 is unsat"
-
-let test_cubes_sat () =
-  (* A SAT cube short-circuits the race and its model is a model of the
-     whole problem. *)
-  let s = Sat.create () in
-  pigeonhole s ~pigeons:5 ~holes:5;
-  let n = Sat.num_vars s in
-  match
-    Solver.solve_cubes ~domains:4 ~cubes:3 ~check:(fun _ -> []) s
-  with
-  | Solver.Unsat -> Alcotest.fail "php 5/5 is sat"
-  | Solver.Sat model ->
-    Alcotest.(check int) "model covers all vars" n (Array.length model);
-    (* Spot-check: every pigeon sits somewhere (the long clauses). *)
-    match Sat.solve s with
-    | Sat.Unsat -> Alcotest.fail "parent disagrees"
-    | Sat.Sat _ -> ()
-
-let test_cubes_certificate () =
-  (* The stitched multi-worker certificate — merged learnt logs, one
-     [goal ∨ ¬cube] clause per refuted leaf, and the split tautology
-     resolved to the goal — must pass the independent DRAT checker, and a
-     trace stripped of its derivations must not. *)
-  let s = Sat.create () in
-  Sat.set_proof_logging s true;
-  pigeonhole s ~pigeons:6 ~holes:5;
-  (match
-     Solver.solve_cubes ~domains:4 ~cubes:2 ~conflict_budget:100
-       ~check:(fun _ -> [])
-       s
-   with
-   | Solver.Unsat -> ()
-   | Solver.Sat _ -> Alcotest.fail "php 6/5 is unsat");
-  let proof = Sat.proof s in
-  (match Drat.check proof with
-   | Ok () -> ()
-   | Error e ->
-     Alcotest.failf "stitched certificate rejected: %s"
-       (Format.asprintf "%a" Drat.pp_error e));
-  let inputs_only =
-    List.filter (function Sat.Input _ -> true | _ -> false) proof
-  in
-  match Drat.check inputs_only with
-  | Ok () -> Alcotest.fail "mutated certificate accepted"
-  | Error (_ : Drat.error) -> ()
-
-let test_cubes_assumption_certificate () =
-  (* UNSAT under assumptions: the stitched certificate must make the
-     negated-assumption goal clause RUP. *)
-  let s = Sat.create () in
-  Sat.set_proof_logging s true;
-  let v = Array.init 8 (fun _ -> Sat.fresh_var s) in
-  for i = 0 to 6 do
-    Sat.add_clause s [ Lit.neg_of_var v.(i); Lit.pos v.(i + 1) ]
-  done;
-  let assumptions = [ Lit.pos v.(0); Lit.neg_of_var v.(7) ] in
-  (match
-     Solver.solve_cubes ~assumptions ~domains:3 ~cubes:2
-       ~check:(fun _ -> [])
-       s
-   with
-   | Solver.Unsat -> ()
-   | Solver.Sat _ -> Alcotest.fail "implication chain conflicts");
-  match Drat.check ~goal:(List.map Lit.negate assumptions) (Sat.proof s) with
-  | Ok () -> ()
-  | Error e ->
-    Alcotest.failf "assumption certificate rejected: %s"
-      (Format.asprintf "%a" Drat.pp_error e)
-
-let prop_cube_parity =
-  QCheck2.Test.make
-    ~name:"cube-and-conquer never changes incremental verdicts" ~count:30
-    script_gen
-    (fun (n, steps) ->
-       let mk () =
-         let s = Sat.create () in
-         for _ = 1 to n do
-           ignore (Sat.fresh_var s)
-         done;
-         s
-       in
-       let sequential = mk () in
-       let via_cubes = mk () in
-       let all_clauses = ref [] in
-       List.for_all
-         (fun (clauses, assumptions) ->
-            List.iter
-              (fun c ->
-                 all_clauses := c :: !all_clauses;
-                 Sat.add_clause sequential c;
-                 Sat.add_clause via_cubes c)
-              clauses;
-            let va = is_sat (Sat.solve ~assumptions sequential) in
-            let vb =
-              (* A tiny conflict budget forces the re-split path. *)
-              match
-                Solver.solve_cubes ~assumptions ~domains:3 ~cubes:2
-                  ~conflict_budget:4
-                  ~check:(fun _ -> [])
-                  via_cubes
-              with
-              | Solver.Sat model ->
-                List.for_all (satisfies model) !all_clauses
-                || QCheck2.Test.fail_report "cube model violates a clause"
-              | Solver.Unsat -> false
-            in
+            let vb = is_sat (Sat.solve ~assumptions without_reduction) in
             va = vb)
          steps)
 
@@ -1016,28 +781,12 @@ let () =
          Alcotest.test_case "reduction parity on pigeonhole 8/7" `Slow
            test_sat_reduction_parity_pigeonhole;
          Alcotest.test_case "solver statistics" `Quick test_sat_stats;
-         Alcotest.test_case "portfolio on pigeonhole 7/6" `Slow
-           test_portfolio_pigeonhole;
          Alcotest.test_case "sanitizer on pigeonhole 6/5" `Slow
            test_sanitize_pigeonhole ]
        @ qsuite
            [ prop_sat_matches_brute_force; prop_sat_3sat_stress;
-             prop_sat_matches_dpll; prop_reduction_portfolio_parity;
+             prop_sat_matches_dpll; prop_reduction_parity;
              prop_sanitize_random ]);
-      ("cubes",
-       [ Alcotest.test_case "cover is exhaustive and disjoint" `Quick
-           test_cube_cover;
-         Alcotest.test_case "cover honours hints" `Quick test_cube_cover_hint;
-         Alcotest.test_case "cover skips assumption variables" `Quick
-           test_cube_cover_assumptions;
-         Alcotest.test_case "re-split on pigeonhole 7/6" `Slow
-           test_cubes_pigeonhole;
-         Alcotest.test_case "sat short-circuit" `Quick test_cubes_sat;
-         Alcotest.test_case "stitched certificate" `Slow
-           test_cubes_certificate;
-         Alcotest.test_case "assumption certificate" `Quick
-           test_cubes_assumption_certificate ]
-       @ qsuite [ prop_cube_parity ]);
       ("dimacs",
        [ Alcotest.test_case "export round-trips" `Quick test_dimacs_export;
          Alcotest.test_case "unsat export" `Quick test_dimacs_unsat_export;
