@@ -365,7 +365,7 @@ let zen_oracle =
 (* Standing accumulator holding [zen_block]; the incremental benchmark
    perturbs it by one scheme, queries, and restores it. *)
 let zen_acc =
-  let acc = Oracle.Acc.create zen_oracle in
+  let acc = Oracle.Acc.create ground_truth in
   List.iter
     (fun (s, n) -> Oracle.Acc.add acc s n)
     (Experiment.to_counts zen_block);

@@ -20,6 +20,8 @@ let c_enclint_findings = Obs.counter "cegis.enclint.findings"
 let c_sat_episodes = Obs.counter "cegis.sat_episodes"
 let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_warm_obs = Obs.counter "cegis.warm_observations"
+let c_theory_evals = Obs.counter "cegis.theory_evaluations"
+let c_memo_hits = Obs.counter "cegis.theory_memo_hits"
 
 module IntSet = Set.Make (Int)
 
@@ -108,28 +110,73 @@ let consistent config mapping obs =
   Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
     ~length:(Experiment.length obs.experiment) modeled obs.cycles
 
-(* Theory check: decode the SAT model, evaluate every observation, and
-   learn a footprint lemma for each violated one.  Lemmas are collected in
-   [pool] so that later encodings (deterministic variable numbering) can be
+(* Theory-check verdict memo.  Whether a mapping explains an observation
+   depends only on the observation and the decoded rows of its own
+   schemes, and the SAT models of one inference repeat most rows, so each
+   verdict is stored under the observation's position in the log and those
+   rows (port-set masks and multiplicities, each scheme closed by a 0).  A
+   memo serves one observation log while the log only grows — one [infer],
+   one [explain] or one delta flush — so positions stay stable; it is not
+   kept across them, which bounds its size. *)
+module Rows = Hashtbl.Make (struct
+    type t = int list
+    let equal = List.equal Int.equal
+    let hash = List.fold_left (fun h x -> (h * 65599) + x) 0
+  end)
+
+let rows_key mapping experiment =
+  List.fold_right
+    (fun s key ->
+       match Mapping.find_opt mapping s with
+       | None -> raise (Throughput.Unsupported s)
+       | Some usage ->
+         List.fold_right
+           (fun (ports, n) key -> Pmi_portmap.Portset.to_mask ports :: n :: key)
+           usage (0 :: key))
+    (Experiment.schemes experiment) []
+
+(* Theory check: decode the SAT model, decide every observation (from the
+   memo, or by evaluating it on a point-mass accumulator), and learn a
+   footprint lemma for each violated one.  Lemmas are collected in [pool]
+   so that later encodings (deterministic variable numbering) can be
    seeded with everything already learned. *)
-let theory_check config encoding observations pool model =
+let theory_check config memo encoding observations pool model =
   let mapping = Encoding.decode encoding model in
-  let inv, _ = oracle_inverse config mapping in
-  let lemmas = ref [] in
+  let acc = Oracle.Acc.create mapping in
+  let evaluate obs =
+    Oracle.Acc.reset acc;
+    List.iter
+      (fun (s, count) -> Oracle.Acc.add acc s count)
+      (Experiment.to_counts obs.experiment);
+    Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
+      ~length:(Experiment.length obs.experiment)
+      (Oracle.Acc.inverse_bounded ~r_max:config.r_max acc)
+      obs.cycles
+  in
+  let lemmas = ref [] and evaluations = ref 0 in
   Race.touch_read obs_loc;
-  Vec.iter
-    (fun obs ->
-       let explained =
-         Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-           ~length:(Experiment.length obs.experiment) (inv obs.experiment)
-           obs.cycles
-       in
-       if not explained then
-         lemmas :=
-           Encoding.block_footprint encoding model
-             (Experiment.schemes obs.experiment)
-           :: !lemmas)
-    observations;
+  for i = 0 to Vec.length observations - 1 do
+    let obs = Vec.get observations i in
+    if i = Vec.length memo then Vec.push memo (Rows.create 16);
+    let verdicts = Vec.get memo i in
+    let key = rows_key mapping obs.experiment in
+    let explained =
+      match Rows.find_opt verdicts key with
+      | Some explained -> explained
+      | None ->
+        incr evaluations;
+        let explained = evaluate obs in
+        Rows.add verdicts key explained;
+        explained
+    in
+    if not explained then
+      lemmas :=
+        Encoding.block_footprint encoding model
+          (Experiment.schemes obs.experiment)
+        :: !lemmas
+  done;
+  Obs.add c_theory_evals !evaluations;
+  Obs.add c_memo_hits (Vec.length observations - !evaluations);
   let lemmas = List.rev !lemmas in
   if lemmas <> [] then begin
     Race.touch_write lemma_loc;
@@ -306,58 +353,36 @@ let certified_solve config encoding observations ?assumptions ~check () =
    | Solver.Sat model -> certify_sat config encoding observations model);
   verdict
 
-let find_mapping config encoding observations pool =
+let find_mapping config memo encoding observations pool =
   Obs.span "cegis.find_mapping" (fun () ->
       enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
-      let check = theory_check config encoding observations pool in
+      let check = theory_check config memo encoding observations pool in
       match certified_solve config encoding observations ~check () with
       | Solver.Sat model -> Some (Encoding.decode encoding model)
       | Solver.Unsat -> None)
 
-(* Multisets of the given schemes, enumerated in order of increasing size
-   (the stratified search of §3.3.4), smallest first. *)
-let iter_experiments schemes ~max_size f =
-  let schemes = Array.of_list schemes in
-  let n = Array.length schemes in
-  let rec fill size start acc =
-    if size = 0 then f (Experiment.of_counts acc)
-    else
-      for i = start to n - 1 do
-        (* Give scheme i between 1 and [size] copies, then recurse on the
-           remaining schemes with the remaining size budget. *)
-        let rec with_count c =
-          if c <= size then begin
-            fill (size - c) (i + 1) ((schemes.(i), c) :: acc);
-            with_count (c + 1)
-          end
-        in
-        with_count 1
-      done
-  in
-  let rec sizes s =
-    if s <= max_size then begin
-      fill s 0 [];
-      sizes (s + 1)
-    end
-  in
-  sizes 1
-
-exception Found of Experiment.t
-
 exception Found_counts of (Scheme.t * int) list
 
-(* One size stratum of the distinguishing-experiment search, walked with
-   incremental oracle accumulators: entering/leaving a recursion level is a
-   ±one-scheme mass delta, and each leaf is an O(2^P) scan per mapping
-   instead of a from-scratch throughput computation.  Enumeration order is
-   identical to [iter_experiments], so the first hit is deterministic.
-   [abort] is polled at every node (used by the parallel search to stop a
-   stratum once a smaller one has found a hit). *)
-let search_stratum config o1 o2 schemes ~size ~abort =
+(* One size stratum of the stratified distinguishing-experiment search
+   (§3.3.4): the multisets of [schemes] of exactly [size] instructions, in
+   a fixed enumeration order, walked with one point-mass accumulator per
+   mapping so that entering or leaving a recursion level is a ±one-scheme
+   delta.  An experiment whose schemes all have equal rows in the two
+   mappings has equal tp⁻¹ under both, so subtrees that cannot contain a
+   scheme with [differs] set are skipped; the order of the remaining
+   leaves is unchanged, so the first hit is the same.  [abort] is polled
+   at every node (used by the parallel search to stop a stratum once a
+   smaller one has found a hit). *)
+let search_stratum config m1 m2 schemes ~differs ~size ~abort =
   let sep = Pmi_measure.Harness.Compare.well_separated ~epsilon:config.epsilon in
-  let a1 = Oracle.Acc.create o1 and a2 = Oracle.Acc.create o2 in
+  let a1 = Oracle.Acc.create m1 and a2 = Oracle.Acc.create m2 in
   let n = Array.length schemes in
-  let rec fill size start acc =
+  let rec last_diff i = if i < 0 || differs.(i) then i else last_diff (i - 1) in
+  let last_diff = last_diff (n - 1) in
+  (* [diff]: the standing multiset holds a differing scheme.  Until it
+     does, only schemes up to the last differing one are tried, and each
+     leaves room for one more instruction, so every leaf has one. *)
+  let rec fill size start acc diff =
     if abort () then raise_notrace Exit;
     if size = 0 then begin
       let length = Oracle.Acc.length a1 in
@@ -366,13 +391,15 @@ let search_stratum config o1 o2 schemes ~size ~abort =
       if sep ~length t1 t2 then raise_notrace (Found_counts acc)
     end
     else
-      for i = start to n - 1 do
+      for i = start to (if diff then n - 1 else last_diff) do
         let s = schemes.(i) in
+        let diff = diff || differs.(i) in
+        let top = if diff then size else size - 1 in
         let rec with_count c =
-          if c <= size then begin
+          if c <= top then begin
             Oracle.Acc.add a1 s 1;
             Oracle.Acc.add a2 s 1;
-            fill (size - c) (i + 1) ((s, c) :: acc);
+            fill (size - c) (i + 1) ((s, c) :: acc) diff;
             with_count (c + 1)
           end
           else begin
@@ -384,16 +411,25 @@ let search_stratum config o1 o2 schemes ~size ~abort =
         with_count 1
       done
   in
-  match fill size 0 [] with
+  match fill size 0 [] false with
   | () -> None
   | exception Found_counts acc -> Some (Experiment.of_counts acc)
   | exception Exit -> None
 
-let distinguishing_memoized config o1 o2 schemes =
-  let arr = Array.of_list schemes in
-  Obs.span "oracle.prepare" (fun () ->
-      Oracle.prepare o1 schemes;
-      Oracle.prepare o2 schemes);
+let distinguishing_experiment config m1 m2 schemes =
+  Obs.span "cegis.distinguish" @@ fun () ->
+  let schemes = Array.of_list schemes in
+  let differs =
+    Array.map
+      (fun s ->
+         match (Mapping.find_opt m1 s, Mapping.find_opt m2 s) with
+         | Some a, Some b -> not (Mapping.equal_usage a b)
+         | (None | Some _), _ -> true)
+      schemes
+  in
+  let stratum ~abort size =
+    search_stratum config m1 m2 schemes ~differs ~size ~abort
+  in
   if config.domains > 1 && config.max_experiment_size > 1 then begin
     (* One domain per size stratum; every stratum reports its first hit in
        enumeration order and the smallest stratum wins, so the result is
@@ -409,7 +445,7 @@ let distinguishing_memoized config o1 o2 schemes =
         let size = idx + 1 in
         let abort () = Race.aget best < size in
         if not (abort ()) then
-          match search_stratum config o1 o2 arr ~size ~abort with
+          match stratum ~abort size with
           | Some e ->
             hits.(size) <- Some e;
             shrink size
@@ -424,37 +460,12 @@ let distinguishing_memoized config o1 o2 schemes =
     let rec go size =
       if size > config.max_experiment_size then None
       else
-        match
-          search_stratum config o1 o2 arr ~size ~abort:(fun () -> false)
-        with
+        match stratum ~abort:(fun () -> false) size with
         | Some e -> Some e
         | None -> go (size + 1)
     in
     go 1
   end
-
-let distinguishing_experiment config m1 m2 schemes =
-  Obs.span "cegis.distinguish" (fun () ->
-      let oracles =
-        match (Oracle.create m1, Oracle.create m2) with
-        | o1, o2 -> Some (o1, o2)
-        | exception Invalid_argument _ -> None
-      in
-      match oracles with
-      | Some (o1, o2) -> distinguishing_memoized config o1 o2 schemes
-      | None ->
-        let sep =
-          Pmi_measure.Harness.Compare.well_separated ~epsilon:config.epsilon
-        in
-        (match
-           iter_experiments schemes ~max_size:config.max_experiment_size
-             (fun e ->
-                let t1 = modeled_inverse config m1 e in
-                let t2 = modeled_inverse config m2 e in
-                if sep ~length:(Experiment.length e) t1 t2 then raise (Found e))
-         with
-         | () -> None
-         | exception Found e -> Some e))
 
 let same_mapping specs m1 m2 =
   List.for_all
@@ -487,8 +498,8 @@ let sync_lemmas state pool =
    activation literal that is assumed during the call and retired with a
    unit clause afterwards.  [frozen] are standing assumptions underneath
    (delta sessions pin their frozen rows and activation literals there). *)
-let search_other_mapping config encoding ~specs observations pool ~frozen m1
-    tried_counter =
+let search_other_mapping config memo encoding ~specs observations pool ~frozen
+    m1 tried_counter =
   (* Gate before the per-call activation variable exists: it would read as
      an allocated-but-unconstrained (dead) variable until first assumed. *)
   enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) ~frozen encoding;
@@ -496,7 +507,7 @@ let search_other_mapping config encoding ~specs observations pool ~frozen m1
   let act = Pmi_smt.Sat.fresh_var sat in
   let assumptions = Pmi_smt.Lit.pos act :: frozen in
   let retract = Pmi_smt.Lit.neg_of_var act in
-  let check = theory_check config encoding observations pool in
+  let check = theory_check config memo encoding observations pool in
   let schemes = List.map fst specs in
   let rec search budget =
     if budget = 0 then begin
@@ -533,12 +544,13 @@ let search_other_mapping config encoding ~specs observations pool ~frozen m1
   Pmi_smt.Sat.add_clause sat [ retract ];
   result
 
-let find_other_mapping config state specs observations pool m1 tried_counter =
+let find_other_mapping config memo state specs observations pool m1
+    tried_counter =
   Obs.span ~args:[ ("mode", Obs.Str "incremental") ] "cegis.find_other_mapping"
   @@ fun () ->
   sync_lemmas state pool;
   let result =
-    search_other_mapping config state.o_encoding ~specs observations pool
+    search_other_mapping config memo state.o_encoding ~specs observations pool
       ~frozen:[] m1 tried_counter
   in
   (* Lemmas the solver added for us during [check] are already in, so
@@ -593,7 +605,7 @@ let explain ?(config = default_config) ~specs ~observations () =
   let obs = Vec.create () in
   List.iter (Vec.push obs) observations;
   let encoding = fresh_encoding config specs pool in
-  let result = find_mapping config encoding obs pool in
+  let result = find_mapping config (Vec.create ()) encoding obs pool in
   (match config.dump_cnf with
    | Some prefix -> dump_cnf_file (Encoding.sat encoding) (prefix ^ "-explain.cnf")
    | None -> ());
@@ -633,6 +645,7 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
   Obs.span "cegis.infer" @@ fun () ->
   let pool = Vec.create () in
   let observations = Vec.create () in
+  let memo = Vec.create () in
   let episodes_before = Atomic.get episode_count in
   let record obs =
     Race.touch_write obs_loc;
@@ -738,15 +751,15 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
       ~args:[ ("iteration", Obs.Int iteration) ]
       "cegis.iteration"
       (fun () ->
-         match find_mapping config fm_encoding observations pool with
+         match find_mapping config memo fm_encoding observations pool with
          | None ->
            Some
              (finish (fun s ->
                   No_consistent_mapping { s with iterations = iteration }))
          | Some m1 ->
            (match
-              find_other_mapping config other_state specs observations pool
-                m1 tried
+              find_other_mapping config memo other_state specs observations
+                pool m1 tried
             with
             | None ->
               (match
@@ -802,12 +815,13 @@ type delta_outcome =
    (frozen-row pins + row activation literals) underneath.  Any second
    consistent mapping necessarily differs on the delta rows only, so a
    distinguishing experiment always involves a batch scheme. *)
-let find_other_mapping_delta config encoding observations pool
+let find_other_mapping_delta config memo encoding observations pool
     base_assumptions m1 tried_counter =
   Obs.span ~args:[ ("mode", Obs.Str "delta") ] "cegis.find_other_mapping"
   @@ fun () ->
-  search_other_mapping config encoding ~specs:(Encoding.schemes encoding)
-    observations pool ~frozen:base_assumptions m1 tried_counter
+  search_other_mapping config memo encoding
+    ~specs:(Encoding.schemes encoding) observations pool
+    ~frozen:base_assumptions m1 tried_counter
 
 (* The delta-scoped convergence sweep: the canonical flooding experiments
    restricted to pairs that involve at least one batch scheme — the
@@ -979,6 +993,7 @@ module Delta = struct
         @ Encoding.freeze_lits encoding session.d_mapping
       in
       let tried = ref 0 in
+      let memo = Vec.create () in
       let finish iterations =
         { iterations;
           observations = Vec.to_list session.d_observations;
@@ -1003,7 +1018,7 @@ module Delta = struct
               ~lemmas:(fun () -> Vec.to_list session.d_pool)
               ~frozen:assumptions encoding;
             let check =
-              theory_check config encoding session.d_observations
+              theory_check config memo encoding session.d_observations
                 session.d_pool
             in
             match
@@ -1052,7 +1067,7 @@ module Delta = struct
              | None -> `Fallback
              | Some m1 ->
                (match
-                  find_other_mapping_delta config encoding
+                  find_other_mapping_delta config memo encoding
                     session.d_observations session.d_pool assumptions m1
                     tried
                 with

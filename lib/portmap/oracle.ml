@@ -13,9 +13,10 @@ module Scheme = Pmi_isa.Scheme
 
    for an experiment [e] only needs a pointwise combination of the cached
    tables followed by a single O(2^P) scan — no hashtable rebuild, no
-   submask enumeration.  [Acc] keeps the combined table standing so the
-   stratified CEGIS search can move between neighbouring experiments with
-   ±one-scheme deltas. *)
+   submask enumeration.  [Acc] is the sparse counterpart for small
+   experiments: it keeps point masses instead of tables, so the CEGIS
+   searches move between neighbouring experiments with ±one-scheme
+   deltas. *)
 
 let max_ports = 20
 (* 2^20 ints per scheme table; far above any simulated profile (≤ 13). *)
@@ -124,45 +125,120 @@ let inverse_bounded ~r_max t experiment =
   bounded ~r_max (Experiment.length experiment) num den
 
 module Acc = struct
-  type oracle = t
-
+  (* The experiment is held as point masses: each distinct port set of the
+     standing µops with its total mass.  For any Q, the union Q' of the
+     point port sets contained in Q has the same mass and |Q'| <= |Q|, so
+     max mass(Q)/|Q| is attained on the union closure of the point port
+     sets.  A query enumerates that closure, usually a few dozen sets,
+     instead of all 2^P masks; no dense table is needed, so any port count
+     that fits a mask works. *)
   type nonrec t = {
-    oracle : oracle;
-    cum : int array;
+    mapping : Mapping.t;
+    mutable masks : int array;    (* distinct port sets, [0, points) *)
+    mutable masses : int array;   (* their µop masses, all positive *)
+    mutable points : int;
+    mutable closure : int array;  (* query scratch *)
     mutable len : int;
   }
 
-  let create oracle =
-    { oracle; cum = Array.make oracle.size 0; len = 0 }
+  let create mapping =
+    { mapping; masks = Array.make 8 0; masses = Array.make 8 0; points = 0;
+      closure = Array.make 32 0; len = 0 }
 
   let length acc = acc.len
 
+  let grow a = Array.append a (Array.make (Array.length a) 0)
+
+  (* Move [delta] µops onto port set [q]: a new point is appended, a point
+     whose mass drops to zero is replaced by the last one. *)
+  let shift acc q delta =
+    let rec find i =
+      if i = acc.points || acc.masks.(i) = q then i else find (i + 1)
+    in
+    let i = find 0 in
+    if i = acc.points then begin
+      if i = Array.length acc.masks then begin
+        acc.masks <- grow acc.masks;
+        acc.masses <- grow acc.masses
+      end;
+      acc.masks.(i) <- q;
+      acc.masses.(i) <- 0;
+      acc.points <- i + 1
+    end;
+    let mass = acc.masses.(i) + delta in
+    if mass = 0 then begin
+      let last = acc.points - 1 in
+      acc.masks.(i) <- acc.masks.(last);
+      acc.masses.(i) <- acc.masses.(last);
+      acc.points <- last
+    end
+    else acc.masses.(i) <- mass
+
   let update acc scheme count =
-    let tbl = table acc.oracle scheme in
-    let cum = acc.cum in
-    for q = 0 to acc.oracle.size - 1 do
-      cum.(q) <- cum.(q) + (count * tbl.(q))
-    done;
-    acc.len <- acc.len + count
+    match Mapping.find_opt acc.mapping scheme with
+    | None -> raise (Throughput.Unsupported scheme)
+    | Some usage ->
+      List.iter
+        (fun (ports, n) -> shift acc (Portset.to_mask ports) (count * n))
+        usage;
+      acc.len <- acc.len + count
 
   let add acc scheme count =
     if count < 0 then invalid_arg "Oracle.Acc.add";
-    update acc scheme count
+    if count > 0 then update acc scheme count
 
   let remove acc scheme count =
     if count < 0 then invalid_arg "Oracle.Acc.remove";
-    update acc scheme (-count)
+    if count > 0 then update acc scheme (-count)
 
   let reset acc =
-    Array.fill acc.cum 0 acc.oracle.size 0;
+    acc.points <- 0;
     acc.len <- 0
 
+  let rec popcount acc q =
+    if q = 0 then acc else popcount (acc + 1) (q land (q - 1))
+
+  (* The closure is built by insertion: each point port set is added alone
+     and OR-ed onto every set already present. *)
+  let best acc =
+    let size = ref 0 in
+    let insert u =
+      let rec mem j = j < !size && (acc.closure.(j) = u || mem (j + 1)) in
+      if not (mem 0) then begin
+        if !size = Array.length acc.closure then
+          acc.closure <- grow acc.closure;
+        acc.closure.(!size) <- u;
+        incr size
+      end
+    in
+    for i = 0 to acc.points - 1 do
+      let p = acc.masks.(i) in
+      let before = !size in
+      insert p;
+      for j = 0 to before - 1 do insert (acc.closure.(j) lor p) done
+    done;
+    let best_num = ref 0 and best_den = ref 1 in
+    for j = 0 to !size - 1 do
+      let u = acc.closure.(j) in
+      let mass = ref 0 in
+      for i = 0 to acc.points - 1 do
+        let p = acc.masks.(i) in
+        if p land u = p then mass := !mass + acc.masses.(i)
+      done;
+      let card = popcount 0 u in
+      if !mass * !best_den > !best_num * card then begin
+        best_num := !mass;
+        best_den := card
+      end
+    done;
+    (!best_num, !best_den)
+
   let inverse acc =
-    let _, num, den = best_of acc.oracle acc.cum in
+    let num, den = best acc in
     Rat.of_ints num den
 
   let inverse_bounded ~r_max acc =
-    let _, num, den = best_of acc.oracle acc.cum in
+    let num, den = best acc in
     bounded ~r_max acc.len num den
 end
 

@@ -14,8 +14,8 @@
 
     Thread safety: the per-scheme table cache is filled lazily.  Call
     {!prepare} with every scheme that will be queried before sharing one
-    oracle across domains; after that, queries through {!Acc} values owned
-    by distinct domains only read shared state. *)
+    oracle across domains.  {!Acc} values only read their mapping, so
+    accumulators owned by distinct domains may share one. *)
 
 type t
 
@@ -42,17 +42,20 @@ val inverse_bounded : r_max:int -> t -> Experiment.t -> Pmi_numeric.Rat.t
 val bottleneck_set : t -> Experiment.t -> Portset.t
 (** A port set attaining the optimum; empty for an empty experiment. *)
 
-(** Incremental experiment accumulator: the running cumulative mass table
-    of a working experiment, updated by ±one scheme at a time.  This is the
-    inner loop of the stratified distinguishing-experiment search: moving
-    to a neighbouring multiset costs one table update, and each throughput
-    query is a pure O(2^P) scan. *)
+(** Incremental experiment accumulator over point masses: each distinct
+    µop port set of the working experiment with its total mass, updated by
+    ±one scheme at a time.  This is the inner loop of the stratified
+    distinguishing-experiment search and the theory check.  A query
+    maximises [mass(Q)/|Q|] over the union closure of the standing port
+    sets, which always contains an optimal [Q], so it returns exactly
+    {!Throughput.inverse}.  It needs no dense table, so unlike {!create}
+    it has no port-count limit. *)
 module Acc : sig
-  type oracle := t
   type t
 
-  val create : oracle -> t
-  (** An empty accumulator (the empty experiment). *)
+  val create : Mapping.t -> t
+  (** An empty accumulator (the empty experiment) for the mapping, which is
+      captured by reference and must not be mutated afterwards. *)
 
   val add : t -> Pmi_isa.Scheme.t -> int -> unit
   (** Add [count] copies of the scheme.  @raise Throughput.Unsupported *)

@@ -343,6 +343,43 @@ let test_cegis_pinned_three_ports () =
       sat_episodes = 9; conflicts = 13; propagations = 218 }
     (pinned_of_outcome outcome)
 
+(* Ten specs on five ports: enough schemes and observations that SAT
+   models repeat the rows of most observed schemes (the theory-check memo
+   hits) and candidate pairs differ on only a few rows (the distinguishing
+   search prunes). *)
+let ten_spec_usage =
+  let ps = Portset.of_list in
+  [ [ (ps [ 0; 1 ], 1) ]; [ (ps [ 1; 2 ], 1) ]; [ (ps [ 2 ], 1) ];
+    [ (ps [ 0; 2 ], 1) ]; [ (ps [ 3; 4 ], 1) ]; [ (ps [ 4 ], 1) ];
+    [ (ps [ 0; 1; 2 ], 1) ]; [ (ps [ 3 ], 1) ]; [ (ps [ 1; 3 ], 1) ];
+    [ (ps [ 2; 4 ], 1) ] ]
+
+let test_cegis_pinned_ten_specs () =
+  let _, _, outcome = run_cegis ~num_ports:5 ten_spec_usage in
+  check_pinned
+    { rows =
+        [ "[0,1]"; "[0,2]"; "[2]"; "[1,2]"; "[3,4]"; "[3]"; "[0,1,2]"; "[4]";
+          "[0,4]"; "[2,3]" ];
+      iterations = 25; candidates_tried = 32; theory_lemmas = 113;
+      sat_episodes = 58; conflicts = 186; propagations = 19537 }
+    (pinned_of_outcome outcome)
+
+(* 22 ports: past the dense oracle's 20-port table bound, so only the
+   point-mass accumulator can evaluate candidates and experiments. *)
+let test_cegis_many_ports () =
+  let ps = Portset.of_list in
+  let usage = [ [ (ps [ 0 ], 1) ]; [ (ps [ 0 ], 1) ]; [ (ps [ 0; 1 ], 1) ] ] in
+  let truth, config, outcome = run_cegis ~num_ports:22 usage in
+  match outcome with
+  | Cegis.Converged (m, _) ->
+    check_equivalent config truth m (Mapping.schemes m);
+    Alcotest.(check (list string)) "mapping" [ "[0]"; "[0]"; "[0,1]" ]
+      (List.map
+         (fun s -> Mapping.usage_to_string (Mapping.usage m s))
+         (Mapping.schemes m))
+  | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
+  | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
+
 (* ------------------------------------------------------------------ *)
 (* Delta mode: online incremental re-inference                         *)
 (* ------------------------------------------------------------------ *)
@@ -836,6 +873,9 @@ let () =
            test_cegis_pinned_figure4b;
          Alcotest.test_case "default path pinned on three ports" `Quick
            test_cegis_pinned_three_ports;
+         Alcotest.test_case "default path pinned on ten specs" `Quick
+           test_cegis_pinned_ten_specs;
+         Alcotest.test_case "22 ports converge" `Quick test_cegis_many_ports;
          Alcotest.test_case "parallel search matches sequential" `Slow
            test_cegis_parallel_matches_sequential;
          Alcotest.test_case "UNSAT on the imul anomaly (§4.3)" `Quick

@@ -252,6 +252,76 @@ let prop_random_roundtrip =
            && (Store.stats s).Store.corrupt = 0))
 
 (* ------------------------------------------------------------------ *)
+(* Byte fuzz of the on-disk files                                      *)
+
+let remove_tree dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* After a valid write sequence, flip and truncate bytes of one of the two
+   files.  The documented contract: neither [verify] nor [open_] raises on
+   damaged input, and every [get] returns a value that was written under
+   that kind and key, or [None]. *)
+let prop_damaged_files =
+  let open QCheck2 in
+  let kinds = [| Store.Measurement; Store.Certificate; Store.Bench_history |] in
+  let put =
+    Gen.(map3
+           (fun k key v -> `Put (kinds.(k), Printf.sprintf "k%d" key, v))
+           (int_range 0 2) (int_range 0 7)
+           (string_size ~gen:printable (int_range 0 24)))
+  in
+  let op = Gen.(frequency [ (6, put); (1, return `Compact) ]) in
+  let damage =
+    Gen.(pair
+           (list_size (int_range 0 4) (pair nat (int_range 1 255)))
+           (opt nat))
+  in
+  Test.make ~name:"damaged journal/segment bytes never raise" ~count:300
+    Gen.(triple (list_size (int_range 1 30) op) bool damage)
+    (fun (ops, in_journal, (flips, cut)) ->
+       let dir = temp_dir () in
+       let written = Hashtbl.create 64 in
+       with_store ~auto_compact:5 dir (fun s ->
+           List.iter
+             (function
+               | `Put (kind, key, v) ->
+                 Hashtbl.add written (kind, key) v;
+                 Store.put s kind ~key v
+               | `Compact -> Store.compact s)
+             ops);
+       let path = if in_journal then journal dir else segment dir in
+       let data = Bytes.of_string (read_file path) in
+       let len = Bytes.length data in
+       if len > 0 then begin
+         List.iter
+           (fun (pos, x) ->
+              let i = pos mod len in
+              Bytes.set data i
+                (Char.chr (Char.code (Bytes.get data i) lxor x)))
+           flips;
+         let keep = match cut with Some c -> c mod (len + 1) | None -> len in
+         write_file path (Bytes.sub_string data 0 keep)
+       end;
+       ignore (Store.verify dir);
+       with_store dir (fun s ->
+           Array.iter
+             (fun kind ->
+                for key = 0 to 7 do
+                  let key = Printf.sprintf "k%d" key in
+                  match Store.get s kind ~key with
+                  | None -> ()
+                  | Some v ->
+                    if not (List.mem v (Hashtbl.find_all written (kind, key)))
+                    then
+                      Test.fail_reportf "%s %s: %S was never written"
+                        (Store.kind_name kind) key v
+                done)
+             kinds);
+       remove_tree dir;
+       true)
+
+(* ------------------------------------------------------------------ *)
 (* The harness's durable tier                                          *)
 
 let test_harness_store_tier () =
@@ -315,7 +385,7 @@ let () =
            test_open_close_idempotent;
          Alcotest.test_case "gc drops and compacts" `Quick
            test_gc_drops_and_compacts ]);
-      ("random", qsuite [ prop_random_roundtrip ]);
+      ("random", qsuite [ prop_random_roundtrip; prop_damaged_files ]);
       ("harness",
        [ Alcotest.test_case "durable measurement tier" `Quick
            test_harness_store_tier ]) ]
