@@ -1153,8 +1153,10 @@ let verbose =
 
 let dump_cnf =
   let doc = "Write the final CNF of each CEGIS solver in DIMACS format to \
-             $(docv)-findmapping.cnf etc., for offline triage with an \
-             external SAT solver." in
+             $(docv)-findmapping.cnf and $(docv)-findothermapping.cnf, and \
+             the session CNF of each culprit search to \
+             $(docv)-culprit-N.cnf, for offline triage with an external SAT \
+             solver." in
   Arg.(value & opt (some string) None & info [ "dump-cnf" ] ~docv:"PREFIX" ~doc)
 
 let certify_flag =

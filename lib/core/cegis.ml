@@ -22,6 +22,8 @@ let c_cert_cached = Obs.counter "cegis.certificates_cached"
 let c_warm_obs = Obs.counter "cegis.warm_observations"
 let c_theory_evals = Obs.counter "cegis.theory_evaluations"
 let c_memo_hits = Obs.counter "cegis.theory_memo_hits"
+let c_slots_freed = Obs.counter "cegis.lemma_slots_freed"
+let c_culprit_queries = Obs.counter "culprit.queries"
 
 module IntSet = Set.Make (Int)
 
@@ -113,11 +115,11 @@ let consistent config mapping obs =
 (* Theory-check verdict memo.  Whether a mapping explains an observation
    depends only on the observation and the decoded rows of its own
    schemes, and the SAT models of one inference repeat most rows, so each
-   verdict is stored under the observation's position in the log and those
-   rows (port-set masks and multiplicities, each scheme closed by a 0).  A
-   memo serves one observation log while the log only grows — one [infer],
-   one [explain] or one delta flush — so positions stay stable; it is not
-   kept across them, which bounds its size. *)
+   verdict is stored per observation under those rows (port-set masks and
+   multiplicities, each scheme closed by a 0).  [infer] and delta flushes
+   keep one table per position of their growing observation log; a
+   culprit session keeps one per distinct observation for the whole
+   search. *)
 module Rows = Hashtbl.Make (struct
     type t = int list
     let equal = List.equal Int.equal
@@ -135,54 +137,61 @@ let rows_key mapping experiment =
            usage (0 :: key))
     (Experiment.schemes experiment) []
 
-(* Theory check: decode the SAT model, decide every observation (from the
-   memo, or by evaluating it on a point-mass accumulator), and learn a
-   footprint lemma for each violated one.  Lemmas are collected in [pool]
-   so that later encodings (deterministic variable numbering) can be
-   seeded with everything already learned. *)
-let theory_check config memo encoding observations pool model =
-  let mapping = Encoding.decode encoding model in
-  let acc = Oracle.Acc.create mapping in
-  let evaluate obs =
+(* Does [mapping] (which [acc] was created from) explain [obs]?  Answered
+   from the observation's memo table, or by evaluating it on the
+   point-mass accumulator ([evaluations] counts those). *)
+let memo_verdict config acc verdicts mapping obs evaluations =
+  let key = rows_key mapping obs.experiment in
+  match Rows.find_opt verdicts key with
+  | Some explained -> explained
+  | None ->
+    incr evaluations;
     Oracle.Acc.reset acc;
     List.iter
       (fun (s, count) -> Oracle.Acc.add acc s count)
       (Experiment.to_counts obs.experiment);
-    Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
-      ~length:(Experiment.length obs.experiment)
-      (Oracle.Acc.inverse_bounded ~r_max:config.r_max acc)
-      obs.cycles
-  in
+    let explained =
+      Pmi_measure.Harness.Compare.cpi_equal ~epsilon:config.epsilon
+        ~length:(Experiment.length obs.experiment)
+        (Oracle.Acc.inverse_bounded ~r_max:config.r_max acc)
+        obs.cycles
+    in
+    Rows.add verdicts key explained;
+    explained
+
+let count_evaluations ~checked evaluations =
+  Obs.add c_theory_evals evaluations;
+  Obs.add c_memo_hits (checked - evaluations)
+
+let record_lemmas pool lemmas =
+  if lemmas <> [] then begin
+    Race.touch_write lemma_loc;
+    Obs.add c_lemmas (List.length lemmas)
+  end;
+  List.iter (Vec.push pool) lemmas
+
+(* Theory check: decode the SAT model, decide every observation through
+   the memo, and learn a footprint lemma for each violated one.  Lemmas are
+   collected in [pool] so that later encodings (deterministic variable
+   numbering) can be seeded with everything already learned. *)
+let theory_check config memo encoding observations pool model =
+  let mapping = Encoding.decode encoding model in
+  let acc = Oracle.Acc.create mapping in
   let lemmas = ref [] and evaluations = ref 0 in
   Race.touch_read obs_loc;
   for i = 0 to Vec.length observations - 1 do
     let obs = Vec.get observations i in
     if i = Vec.length memo then Vec.push memo (Rows.create 16);
-    let verdicts = Vec.get memo i in
-    let key = rows_key mapping obs.experiment in
-    let explained =
-      match Rows.find_opt verdicts key with
-      | Some explained -> explained
-      | None ->
-        incr evaluations;
-        let explained = evaluate obs in
-        Rows.add verdicts key explained;
-        explained
-    in
-    if not explained then
+    if not (memo_verdict config acc (Vec.get memo i) mapping obs evaluations)
+    then
       lemmas :=
         Encoding.block_footprint encoding model
           (Experiment.schemes obs.experiment)
         :: !lemmas
   done;
-  Obs.add c_theory_evals !evaluations;
-  Obs.add c_memo_hits (Vec.length observations - !evaluations);
+  count_evaluations ~checked:(Vec.length observations) !evaluations;
   let lemmas = List.rev !lemmas in
-  if lemmas <> [] then begin
-    Race.touch_write lemma_loc;
-    Obs.add c_lemmas (List.length lemmas)
-  end;
-  List.iter (Vec.push pool) lemmas;
+  record_lemmas pool lemmas;
   lemmas
 
 let fresh_encoding config specs pool =
@@ -203,8 +212,8 @@ let fresh_encoding config specs pool =
      exhaustive cardinality-cone enumerations by network shape (the
      [Card] builder is deterministic), so shapes verified once are not
      re-enumerated — neither on later episodes of the same solver nor
-     when a fresh same-spec encoding rebuilds them, as the §4.3 culprit
-     search does once per [explain] call.
+     when a fresh same-spec encoding rebuilds them, as every [infer]
+     round of the §4.3 culprit removal does.
    - [enclint_db_seen] maps [Sat.id] to the retired-row signature under
      which the clause-database passes (dead vars, duplicates, retired
      reachability, frozen-unused) last ran.  Those passes only change
@@ -599,17 +608,159 @@ let dump_cnf_file sat file =
   with Sys_error msg ->
     Log.warn (fun m -> m "could not dump CNF: %s" msg)
 
-let explain ?(config = default_config) ~specs ~observations () =
-  Obs.span "cegis.explain" @@ fun () ->
-  let pool = Vec.create () in
-  let obs = Vec.create () in
-  List.iter (Vec.push obs) observations;
-  let encoding = fresh_encoding config specs pool in
-  let result = find_mapping config (Vec.create ()) encoding obs pool in
-  (match config.dump_cnf with
-   | Some prefix -> dump_cnf_file (Encoding.sat encoding) (prefix ^ "-explain.cnf")
-   | None -> ());
-  result
+(* ------------------------------------------------------------------ *)
+(* The §4.3 culprit session                                            *)
+(* ------------------------------------------------------------------ *)
+
+module Culprit = struct
+  (* Lemma generalisation.  tp⁻¹ is antitone in each µop's port set
+     (widening a set never raises any mass(Q)/|Q|), and so is
+     max(tp⁻¹, |e|/r_max).  With some µop slots of a violated footprint
+     freed, every completion therefore lies in [lo, hi]: lo puts the freed
+     µops on all ports; hi is the largest value with all of them on one
+     port {p}, because moving them onto a port of a completion's
+     bottleneck set Q only adds to mass(Q).  While that bracket excludes
+     the observed cycles, the slots stay freed and the lemma refutes every
+     completion.  Slots are tried greedily, in footprint order. *)
+  let refute config encoding model obs =
+    let acc = Oracle.Acc.create (Encoding.decode encoding model) in
+    List.iter
+      (fun (s, count) -> Oracle.Acc.add acc s count)
+      (Experiment.to_counts obs.experiment);
+    let tolerance =
+      Rat.mul config.epsilon (Rat.of_int (Experiment.length obs.experiment))
+    in
+    let above = Rat.add obs.cycles tolerance
+    and below = Rat.sub obs.cycles tolerance in
+    let value_with freed target =
+      let move ~back =
+        List.iter
+          (fun (ports, n) ->
+             if back then Oracle.Acc.move acc ~from:target ~to_:ports n
+             else Oracle.Acc.move acc ~from:ports ~to_:target n)
+          freed
+      in
+      move ~back:false;
+      let value = Oracle.Acc.inverse_bounded ~r_max:config.r_max acc in
+      move ~back:true;
+      value
+    in
+    let module Portset = Pmi_portmap.Portset in
+    let excluded freed =
+      Rat.compare (value_with freed (Portset.full config.num_ports)) above > 0
+      || List.for_all
+           (fun p ->
+              Rat.compare (value_with freed (Portset.singleton p)) below < 0)
+           (List.init config.num_ports Fun.id)
+    in
+    let kept, freed =
+      List.fold_left
+        (fun (kept, freed) slot ->
+           let uops =
+             ( Encoding.slot_ports model slot,
+               Experiment.count obs.experiment (Encoding.slot_scheme slot) )
+           in
+           if excluded (uops :: freed) then (kept, uops :: freed)
+           else (slot :: kept, freed))
+        ([], [])
+        (Encoding.footprint encoding (Experiment.schemes obs.experiment))
+    in
+    Obs.add c_slots_freed (List.length freed);
+    Encoding.block_slots model (List.rev kept)
+
+  (* A distinct observation of the search: its guard literal prefixes all
+     of its lemmas, so they bind only in queries that assume it. *)
+  type entry = {
+    obs : observation;
+    guard : int;
+    verdicts : bool Rows.t;
+  }
+
+  type t = {
+    config : config;
+    search : int;
+    encoding : Encoding.t;
+    entries : entry list Experiment.Tbl.t;
+    lemmas : Pmi_smt.Lit.t list Vec.t;
+  }
+
+  (* Searches are numbered per process, to name their CNF dumps. *)
+  let searches = Atomic.make 0
+
+  let create ?(config = default_config) ~specs () =
+    { config;
+      search = 1 + Atomic.fetch_and_add searches 1;
+      encoding =
+        Encoding.create ~num_ports:config.num_ports
+          ~symmetry_breaking:config.symmetry_breaking ~certify:config.certify
+          ~guarded:true specs;
+      entries = Experiment.Tbl.create 64;
+      lemmas = Vec.create () }
+
+  let intern t obs =
+    let key = Experiment.key obs.experiment in
+    let known = Option.value ~default:[] (Experiment.Tbl.find_opt t.entries key) in
+    match List.find_opt (fun e -> Rat.equal e.obs.cycles obs.cycles) known with
+    | Some entry -> entry
+    | None ->
+      let sat = Encoding.sat t.encoding in
+      let guard = Pmi_smt.Sat.fresh_var sat in
+      Pmi_smt.Sat.name_var sat guard
+        (Printf.sprintf "obs(%s=%s)"
+           (Experiment.to_string obs.experiment) (Rat.to_string obs.cycles));
+      Pmi_smt.Sat.mark_guard sat guard;
+      let entry = { obs; guard; verdicts = Rows.create 16 } in
+      Experiment.Tbl.replace t.entries key (entry :: known);
+      entry
+
+  let check t entries model =
+    let mapping = Encoding.decode t.encoding model in
+    let acc = Oracle.Acc.create mapping in
+    let evaluations = ref 0 in
+    let lemmas =
+      List.filter_map
+        (fun e ->
+           if memo_verdict t.config acc e.verdicts mapping e.obs evaluations
+           then None
+           else
+             Some
+               (Pmi_smt.Lit.neg_of_var e.guard
+                :: refute t.config t.encoding model e.obs))
+        entries
+    in
+    count_evaluations ~checked:(List.length entries) !evaluations;
+    record_lemmas t.lemmas lemmas;
+    lemmas
+
+  let explains t ~specs ~observations =
+    Obs.span "cegis.explain" @@ fun () ->
+    Obs.incr c_culprit_queries;
+    let rows = Encoding.activate t.encoding (List.map fst specs) in
+    (* Gate before interning: a new observation's guard occurs in no
+       clause until its first lemma, so it would read as a dead variable. *)
+    enclint_gate t.config
+      ~lemmas:(fun () -> Vec.to_list t.lemmas)
+      ~frozen:rows t.encoding;
+    let entries = List.map (intern t) observations in
+    let assumptions =
+      rows @ List.map (fun e -> Pmi_smt.Lit.pos e.guard) entries
+    in
+    let obs = Vec.create () in
+    List.iter (Vec.push obs) observations;
+    match
+      certified_solve t.config t.encoding obs ~assumptions
+        ~check:(check t entries) ()
+    with
+    | Solver.Sat _ -> true
+    | Solver.Unsat -> false
+
+  let dump_cnf t =
+    match t.config.dump_cnf with
+    | Some prefix ->
+      dump_cnf_file (Encoding.sat t.encoding)
+        (Printf.sprintf "%s-culprit-%d.cnf" prefix t.search)
+    | None -> ()
+end
 
 (* Convergence-time validation: the first sweep experiment the converged
    mapping fails to explain; [None] means the convergence is confirmed.

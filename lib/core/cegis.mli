@@ -153,15 +153,62 @@ val infer :
     measurements of the same machine, so they constrain the search
     exactly as they did in the run that produced them. *)
 
-val explain :
-  ?config:config ->
-  specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
-  observations:observation list ->
-  unit ->
-  Pmi_portmap.Mapping.t option
-(** One standalone [findMapping] call: a mapping over [specs] consistent
-    with the observations, if any.  Used for the §4.3 culprit search when
-    the full inference reports UNSAT. *)
+(** {1 The §4.3 culprit search} *)
+
+(** One solver session per culprit search.
+
+    The session holds one guarded encoding ({!Encoding.create}
+    [~guarded:true]) over all of the search's specs.  Each {!explains}
+    query is one solve under assumptions: the activation literals of its
+    rows (positive for the query's specs, negative for the others) and the
+    guard literals of its observations.  Every distinct observation gets
+    one guard literal, which prefixes all of its theory lemmas.  So the
+    lemmas, the learnt clauses and the per-observation verdict memo serve
+    every later query.
+
+    The session's lemmas are generalised: a µop slot is left out of a
+    violated footprint while a sound bracket of tp⁻¹ over all port sets
+    of the freed µops still excludes the observation (see {!refute}).
+    The search consumes only yes/no verdicts, and those equal a fresh
+    [findMapping] over the query's specs and observations.  Under
+    [config.enclint] every query is gated, and under [config.certify]
+    every verdict is certified against its assumption goal. *)
+module Culprit : sig
+  type t
+
+  val create :
+    ?config:config ->
+    specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
+    unit ->
+    t
+
+  val explains :
+    t ->
+    specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
+    observations:observation list ->
+    bool
+  (** Is some mapping over [specs] consistent with [observations]?
+      [specs] must be a subset of the session's, and the observations may
+      name only their schemes.
+      @raise Invalid_argument if a scheme has no row in the session. *)
+
+  val dump_cnf : t -> unit
+  (** With [config.dump_cnf = Some prefix], write the session's CNF to
+      [prefix-culprit-<n>.cnf], where [n] numbers the sessions created in
+      this process from 1. *)
+
+  val refute :
+    config -> Encoding.t -> bool array -> observation -> Pmi_smt.Lit.t list
+  (** The generalised footprint lemma for an observation that the model's
+      decoded mapping violates (without an observation guard).  Slots are
+      freed greedily in {!Encoding.footprint} order.  A set of freed µops
+      stays freed while a bracket excludes the observed cycles: from tp⁻¹
+      with the freed µops on all ports, up to the largest tp⁻¹ with all of
+      them on one port (both under the §3.4 frontend bound).  tp⁻¹ is
+      antitone in each µop's port set, so every completion lies in the
+      bracket, and every assignment the lemma blocks violates the
+      observation. *)
+end
 
 (** {1 Online incremental re-inference (delta mode)} *)
 

@@ -15,6 +15,7 @@ type row = {
   selectors : int array;       (* improper only: one per proper instr *)
   act : int;                   (* activation variable; -1 = unguarded *)
   mutable live : bool;         (* false once the row has been retired *)
+  mutable active : bool;       (* in force for the next solve ({!activate}) *)
   mutable networks : (int * Card.network) list;
                                (* (declared bound, recorded network) of
                                   every cardinality constraint emitted for
@@ -30,11 +31,13 @@ type t = {
 let sat t = t.solver
 let num_ports t = t.num_ports
 
-(* Every observable view of the encoding ranges over the live rows only:
-   a retired row's variables stay in the solver (its guarded clauses are
-   inert once the activation literal is unit-negated) but it no longer
-   takes part in decode/freeze/lemma construction. *)
-let live_rows t = Array.to_list t.rows |> List.filter (fun r -> r.live)
+(* Every observable view of the encoding ranges over the live, active rows
+   only: a retired row's variables stay in the solver (its guarded clauses
+   are inert once the activation literal is unit-negated) but it no longer
+   takes part in decode/freeze/lemma construction, and a row left out of
+   the current {!activate} set is assumed off for the next solve. *)
+let live_rows t =
+  Array.to_list t.rows |> List.filter (fun r -> r.live && r.active)
 
 let schemes t = List.map (fun r -> (r.scheme, r.spec)) (live_rows t)
 
@@ -45,7 +48,18 @@ let check_count num_ports c =
   if c < 1 || c > num_ports then
     invalid_arg "Encoding: port count out of range"
 
-let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
+let guard_of row =
+  if row.act >= 0 then Some (Lit.neg_of_var row.act) else None
+
+(* A row's activation variable [act(<scheme>)]. *)
+let fresh_activation solver scheme =
+  let act = Sat.fresh_var solver in
+  Sat.name_var solver act (Printf.sprintf "act(%s)" (Scheme.name scheme));
+  Sat.mark_guard solver act;
+  act
+
+let create ~num_ports ?(symmetry_breaking = true) ?(certify = false)
+    ?(guarded = false) specs =
   if num_ports <= 0 then invalid_arg "Encoding.create: num_ports";
   let solver = Sat.create () in
   (* Proof logging must precede every clause, otherwise the trace lacks the
@@ -77,8 +91,9 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
              | Improper { own_ports } -> check_count num_ports own_ports);
             let own = fresh_row () in
             name_row "own" scheme own;
+            let act = if guarded then fresh_activation solver scheme else -1 in
             { scheme; spec; own; shared = [||]; selectors = [||];
-              act = -1; live = true; networks = [] })
+              act; live = true; active = true; networks = [] })
          specs)
   in
   (* Cardinality of every own µop. *)
@@ -88,7 +103,8 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
          match row.spec with Proper c -> c | Improper { own_ports } -> own_ports
        in
        let net =
-         Card.exactly solver (Array.to_list (Array.map Lit.pos row.own)) count
+         Card.exactly ?guard:(guard_of row) solver
+           (Array.to_list (Array.map Lit.pos row.own)) count
        in
        row.networks <- (count, net) :: row.networks)
     rows;
@@ -120,12 +136,17 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false) specs =
                      (Scheme.name partner.scheme)))
              partners;
            let selector_net =
-             Card.exactly solver
+             Card.exactly ?guard:(guard_of row) solver
                (Array.to_list (Array.map Lit.pos selectors))
                1
            in
            List.iteri
              (fun j partner ->
+                (* Guarded: an active row selects only an active partner. *)
+                if guarded then
+                  Sat.add_clause solver
+                    [ Lit.neg_of_var row.act; Lit.neg_of_var selectors.(j);
+                      Lit.pos partner.act ];
                 for k = 0 to num_ports - 1 do
                   (* selectors.(j) -> (shared.(k) <-> partner.own.(k)) *)
                   Sat.add_clause solver
@@ -222,9 +243,7 @@ let append_row t scheme spec =
        Sat.name_var t.solver v
          (Printf.sprintf "own(%s,p%d)" (Scheme.name scheme) k))
     own;
-  let act = Sat.fresh_var t.solver in
-  Sat.name_var t.solver act (Printf.sprintf "act(%s)" (Scheme.name scheme));
-  Sat.mark_guard t.solver act;
+  let act = fresh_activation t.solver scheme in
   (* The cardinality chain binds only while [act] is assumed: retiring the
      row is one unit clause, no encoding rebuild. *)
   let net =
@@ -234,7 +253,7 @@ let append_row t scheme spec =
   in
   let row =
     { scheme; spec; own; shared = [||]; selectors = [||]; act; live = true;
-      networks = [ (count, net) ] }
+      active = true; networks = [ (count, net) ] }
   in
   t.rows <- Array.append t.rows [| row |]
 
@@ -258,6 +277,21 @@ let row_assumptions t =
   List.filter_map
     (fun r -> if r.act >= 0 then Some (Lit.pos r.act) else None)
     (live_rows t)
+
+let activate t schemes =
+  List.iter
+    (fun s ->
+       if not (Array.exists (fun r -> r.live && Scheme.equal r.scheme s) t.rows)
+       then invalid_arg "Encoding.activate: no live row for scheme")
+    schemes;
+  Array.to_list t.rows
+  |> List.filter_map (fun r ->
+      if not r.live then None
+      else begin
+        if r.act < 0 then invalid_arg "Encoding.activate: unguarded row";
+        r.active <- List.exists (Scheme.equal r.scheme) schemes;
+        Some (if r.active then Lit.pos r.act else Lit.neg_of_var r.act)
+      end)
 
 let ports_of_row model vars =
   let ports = ref Portset.empty in
@@ -326,8 +360,28 @@ let freeze_lits t mapping =
     (live_rows t);
   !lits
 
-let block_footprint t model schemes =
-  let interesting s = List.exists (Scheme.equal s) schemes in
+(* A µop slot of a row: its own µop, or the shared µop of an improper
+   row.  Footprint order is row order, own before shared. *)
+type slot = { s_row : row; s_shared : bool }
+
+let footprint t schemes =
+  List.concat_map
+    (fun row ->
+       if not (List.exists (Scheme.equal row.scheme) schemes) then []
+       else
+         match row.spec with
+         | Proper _ -> [ { s_row = row; s_shared = false } ]
+         | Improper _ ->
+           [ { s_row = row; s_shared = false }; { s_row = row; s_shared = true } ])
+    (live_rows t)
+
+let slot_scheme slot = slot.s_row.scheme
+
+let slot_vars slot = if slot.s_shared then slot.s_row.shared else slot.s_row.own
+
+let slot_ports model slot = ports_of_row model (slot_vars slot)
+
+let block_slots model slots =
   let lits = ref [] in
   let flip vars =
     Array.iter
@@ -335,18 +389,23 @@ let block_footprint t model schemes =
          lits := (if model.(v) then Lit.neg_of_var v else Lit.pos v) :: !lits)
       vars
   in
-  List.iter
-    (fun row ->
-       if interesting row.scheme then begin
-         (* Guarded rows scope the lemma to their own lifetime: once the
-            row is retired (act unit-negated) the clause is satisfied and
-            inert, exactly like the cardinality chain it refutes. *)
-         if row.act >= 0 then lits := Lit.neg_of_var row.act :: !lits;
-         flip row.own;
-         flip row.shared
-       end)
-    (live_rows t);
+  ignore
+    (List.fold_left
+       (fun previous slot ->
+          (* Guarded rows scope the lemma to their own lifetime: once the
+             row is retired (act unit-negated) the clause is satisfied and
+             inert, exactly like the cardinality chain it refutes. *)
+          let same_row =
+            match previous with Some row -> row == slot.s_row | None -> false
+          in
+          if (not same_row) && slot.s_row.act >= 0 then
+            lits := Lit.neg_of_var slot.s_row.act :: !lits;
+          flip (slot_vars slot);
+          Some slot.s_row)
+       None slots);
   !lits
+
+let block_footprint t model schemes = block_slots model (footprint t schemes)
 
 let block_model t model =
   block_footprint t model (List.map (fun r -> r.scheme) (live_rows t))

@@ -26,7 +26,15 @@
     literal.  Assume {!row_assumptions} on each solve to activate them;
     {!retire_row} permanently drops a row (and every lemma scoped to it)
     with a single unit clause, no rebuild.  This is the encoding half of
-    the incremental re-inference mode ({!Pmi_core.Cegis.Delta}). *)
+    the incremental re-inference mode ({!Pmi_core.Cegis.Delta}).
+
+    {b Guarded encodings.}  Built with [~guarded:true], every row carries
+    an activation variable from the start, and {!activate} chooses the
+    rows in force for the next solve.  An active improper row may select
+    only an active partner ([¬act_i ∨ ¬select(i,j) ∨ act_j]), so one
+    encoding answers queries over any subset of its rows exactly as a
+    fresh encoding over that subset would.  This is the encoding half of
+    the §4.3 culprit session ({!Pmi_core.Cegis.Culprit}). *)
 
 type instr_spec =
   | Proper of int               (** single µop with the given port count *)
@@ -40,9 +48,12 @@ val create :
   num_ports:int ->
   ?symmetry_breaking:bool ->
   ?certify:bool ->
+  ?guarded:bool ->
   (Pmi_isa.Scheme.t * instr_spec) list ->
   t
-(** [~certify:true] turns on the solver's DRAT proof logging {e before} any
+(** [~guarded:true] (default [false]) gives every row an activation
+    variable [act(<scheme>)] that guards its cardinality networks (see
+    {!activate}).  [~certify:true] turns on the solver's DRAT proof logging {e before} any
     clause is added, so every later verdict carries a complete certificate
     ([Pmi_smt.Sat.proof]).  The µop variables are always named
     ([own(<scheme>,p<k>)], [shared(…)], [select(<improper>,<partner>)]) for
@@ -54,7 +65,8 @@ val sat : t -> Pmi_smt.Sat.t
 val num_ports : t -> int
 
 val schemes : t -> (Pmi_isa.Scheme.t * instr_spec) list
-(** The live rows, in row order (retired rows are excluded everywhere). *)
+(** The live rows, in row order (retired rows, and rows left out of the
+    last {!activate}, are excluded everywhere). *)
 
 val has_scheme : t -> Pmi_isa.Scheme.t -> bool
 (** Is there a live row for the scheme? *)
@@ -78,6 +90,14 @@ val retire_row : t -> Pmi_isa.Scheme.t -> unit
 val row_assumptions : t -> Pmi_smt.Lit.t list
 (** The positive activation literals of every live guarded row — assume
     these on each solve of a delta-mode encoding. *)
+
+val activate : t -> Pmi_isa.Scheme.t list -> Pmi_smt.Lit.t list
+(** Put exactly the rows of the given schemes in force: later views
+    ({!schemes}, {!decode}, lemma construction) range over them only.
+    Returns the assumptions for the next solve: the positive activation
+    literal of every active row, the negative one of every other live row.
+    @raise Invalid_argument on a scheme without a live row, or on an
+    encoding with unguarded rows. *)
 
 val decode : t -> bool array -> Pmi_portmap.Mapping.t
 (** Read a port mapping out of a SAT model. *)
@@ -105,6 +125,30 @@ val block_footprint :
 
 val block_model : t -> bool array -> Pmi_smt.Lit.t list
 (** [block_footprint] over all schemes. *)
+
+(** {1 µop slots}
+
+    A footprint lemma is built from µop {e slots}: the own µop of each
+    row and the shared µop of each improper one.  Leaving a slot out of
+    the lemma frees that µop: the clause then refutes every port set it
+    may take. *)
+
+type slot
+
+val footprint : t -> Pmi_isa.Scheme.t list -> slot list
+(** The slots of the given schemes' rows, in row order, own before
+    shared. *)
+
+val slot_scheme : slot -> Pmi_isa.Scheme.t
+val slot_ports : bool array -> slot -> Pmi_portmap.Portset.t
+(** The port set a model assigns to the slot's µop. *)
+
+val block_slots : bool array -> slot list -> Pmi_smt.Lit.t list
+(** A lemma refuting every assignment that agrees with [model] on the
+    given slots, which must be in {!footprint} order.  A guarded row
+    contributes its negated activation literal once.
+    [block_footprint t model schemes] is
+    [block_slots model (footprint t schemes)]. *)
 
 (** {1 Static analysis support} *)
 

@@ -5,6 +5,7 @@ module Mapping = Pmi_portmap.Mapping
 module Experiment = Pmi_portmap.Experiment
 module Harness = Pmi_measure.Harness
 module Machine = Pmi_machine.Machine
+module Obs = Pmi_obs.Obs
 
 let log = Logs.Src.create "pmi.pipeline" ~doc:"end-to-end case study"
 
@@ -150,7 +151,15 @@ let scheme_in_observation s obs =
    - {e heuristic ordering}: if both probe stages abstain, the fallback
      prefers the single-copy instruction of the refuting experiment over
      its flooded kernel, then the scheme with fewer observations overall. *)
-let find_culprit config harness specs observations =
+let find_culprit config ~measure specs observations =
+  Obs.span "pipeline.culprit" @@ fun () ->
+  (* Every consistency question of this search is one assumption query on
+     one session encoding over [specs]. *)
+  let session = Cegis.Culprit.create ~config ~specs () in
+  Fun.protect ~finally:(fun () -> Cegis.Culprit.dump_cnf session) @@ fun () ->
+  let explains specs' observations =
+    Cegis.Culprit.explains session ~specs:specs' ~observations
+  in
   let try_without victims =
     let specs' =
       List.filter (fun (s, _) -> not (List.exists (Scheme.equal s) victims)) specs
@@ -160,9 +169,7 @@ let find_culprit config harness specs observations =
         (fun obs -> not (List.exists (fun v -> scheme_in_observation v obs) victims))
         observations
     in
-    match Cegis.explain ~config ~specs:specs' ~observations:observations' () with
-    | Some _ -> true
-    | None -> false
+    explains specs' observations'
   in
   let newest =
     match List.rev observations with
@@ -180,9 +187,7 @@ let find_culprit config harness specs observations =
      ask whether {e any} mapping explains the suspect's own behaviour.
      Cross-observation contradictions (the vmovd case) and saturation
      anomalies (the imul case) both reappear in this focused set. *)
-  let observe e =
-    { Cegis.experiment = e; cycles = Harness.cycles harness e }
-  in
+  let observe e = { Cegis.experiment = e; cycles = measure e } in
   let specs_excluding excluding =
     List.filter (fun (s, _) -> not (List.exists (Scheme.equal s) excluding)) specs
   in
@@ -202,9 +207,6 @@ let find_culprit config harness specs observations =
       (fun copies ->
          observe (Experiment.add suspect (Experiment.replicate copies kernel)))
       [ 1; c; 2 * c ]
-  in
-  let explains specs' observations =
-    Cegis.explain ~config ~specs:specs' ~observations () <> None
   in
   (* Which kernels does [suspect] clash with pairwise?  Stops counting at
      [limit] partners — the callers only distinguish zero, one, and many. *)
@@ -319,7 +321,7 @@ let run_cegis config harness classes improper =
     | Cegis.Iteration_limit _ ->
       failwith "Pipeline: CEGIS iteration limit exceeded"
     | Cegis.No_consistent_mapping stats ->
-      (match find_culprit config.cegis harness specs stats.Cegis.observations with
+      (match find_culprit config.cegis ~measure specs stats.Cegis.observations with
        | None when warm_start <> [] ->
          (* A full replayed history can implicate several §4.3 anomalies at
             once, which the one-culprit-per-round search cannot untangle.
@@ -475,8 +477,9 @@ let run ?(config = default_config) harness =
   let decide i v = pending.(i) <- Some v in
   (* Stage 1 (§4.1): benchmark every scheme individually. *)
   let stage1 =
-    Array.map (Blocking.classify_individual ~config:config.blocking harness)
-      schemes
+    Obs.span "pipeline.stage1" (fun () ->
+        Array.map (Blocking.classify_individual ~config:config.blocking harness)
+          schemes)
   in
   let candidates = ref [] in
   Array.iteri
@@ -496,7 +499,8 @@ let run ?(config = default_config) harness =
   (* Stage 2 (§4.2): pair candidates, drop unstable and contradictory ones
      and everything sharing their mnemonics. *)
   let filtering =
-    Blocking.filter_candidates ~config:config.blocking harness candidates
+    Obs.span "pipeline.stage2" (fun () ->
+        Blocking.filter_candidates ~config:config.blocking harness candidates)
   in
   let bad_mnemonics = Hashtbl.create 16 in
   List.iter
@@ -625,17 +629,19 @@ let run ?(config = default_config) harness =
          k.Blocking.members)
     kept_classes;
   (* Remaining schemes: the adapted Algorithm 1. *)
-  Array.iteri
-    (fun i s ->
-       if pending.(i) = None then begin
-         match
-           Port_usage.characterize ~config:config.port_usage harness ~blockers s
-         with
-         | Port_usage.Usage { usage; spurious; _ } ->
-           decide i (Characterized { usage; spurious })
-         | Port_usage.Failed f -> decide i (Unstable_result f)
-       end)
-    schemes;
+  Obs.span "pipeline.characterize" (fun () ->
+      Array.iteri
+        (fun i s ->
+           if pending.(i) = None then begin
+             match
+               Port_usage.characterize ~config:config.port_usage harness
+                 ~blockers s
+             with
+             | Port_usage.Usage { usage; spurious; _ } ->
+               decide i (Characterized { usage; spurious })
+             | Port_usage.Failed f -> decide i (Unstable_result f)
+           end)
+        schemes);
   let verdicts =
     Array.map
       (function

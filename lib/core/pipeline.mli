@@ -75,6 +75,19 @@ val run : ?config:config -> Pmi_measure.Harness.t -> t
     128-bit vector move); when absent (reduced test catalogs), the store
     port is simply not blocked. *)
 
+val find_culprit :
+  Cegis.config ->
+  measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->
+  (Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
+  Cegis.observation list ->
+  Pmi_isa.Scheme.t list option
+(** The §4.3 culprit search after [Cegis.infer] found no consistent
+    mapping for [specs] and the given observations (its final log, newest
+    last): the scheme(s) whose removal, with every observation naming
+    them, restores consistency.  [measure] answers the search's probe
+    experiments.  All of its consistency queries run on one
+    {!Cegis.Culprit} session. *)
+
 val verdict : t -> Pmi_isa.Scheme.t -> verdict
 
 val pp_funnel : Format.formatter -> funnel -> unit

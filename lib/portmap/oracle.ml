@@ -191,6 +191,13 @@ module Acc = struct
     if count < 0 then invalid_arg "Oracle.Acc.remove";
     if count > 0 then update acc scheme (-count)
 
+  let move acc ~from ~to_ n =
+    if n < 0 then invalid_arg "Oracle.Acc.move";
+    if n > 0 && not (Portset.equal from to_) then begin
+      shift acc (Portset.to_mask from) (-n);
+      shift acc (Portset.to_mask to_) n
+    end
+
   let reset acc =
     acc.points <- 0;
     acc.len <- 0

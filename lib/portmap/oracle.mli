@@ -63,6 +63,11 @@ module Acc : sig
   val remove : t -> Pmi_isa.Scheme.t -> int -> unit
   (** Remove [count] copies previously added. *)
 
+  val move : t -> from:Portset.t -> to_:Portset.t -> int -> unit
+  (** Move [n] standing µops from port set [from] (which must hold at
+      least [n]) to [to_], keeping the instruction count: the experiment
+      as if those µops took another port set. *)
+
   val length : t -> int
   (** Instruction count of the current experiment. *)
 

@@ -241,8 +241,8 @@ let test_certified_cegis_domains () =
 
 let test_certified_explain_unsat () =
   (* A single 1-port instruction cannot take 10 cycles: the certified
-     find_mapping call must reach a checker-accepted UNSAT and report no
-     consistent mapping rather than raise. *)
+     culprit-session query must reach a checker-accepted UNSAT under its
+     assumption goal and report no consistent mapping rather than raise. *)
   let catalog = toy_catalog 1 in
   let config = certified_config 1 in
   let scheme = Catalog.find catalog 0 in
@@ -251,9 +251,9 @@ let test_certified_explain_unsat () =
     [ { Cegis.experiment = Experiment.singleton scheme;
         cycles = Rat.of_int 10 } ]
   in
-  match Cegis.explain ~config ~specs ~observations () with
-  | None -> ()
-  | Some _ -> Alcotest.fail "no mapping can explain 10 cycles"
+  let session = Cegis.Culprit.create ~config ~specs () in
+  if Cegis.Culprit.explains session ~specs ~observations then
+    Alcotest.fail "no mapping can explain 10 cycles"
 
 (* ------------------------------------------------------------------ *)
 (* Lint on seeded-bad data                                             *)

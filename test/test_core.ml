@@ -631,6 +631,308 @@ let prop_cegis_sound =
        | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* The §4.3 culprit session                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every port set of [c] ports out of [num_ports]. *)
+let port_sets num_ports c =
+  List.init (1 lsl num_ports) Fun.id
+  |> List.filter_map (fun m ->
+      let ports = Portset.of_mask m in
+      if Portset.cardinal ports = c then Some ports else None)
+
+(* Independent reference for one culprit query: enumerate every row
+   assignment the encoding admits (each own µop on [c] ports, each shared
+   µop equal to another row's own µop) and ask the naive oracle whether
+   one explains every observation. *)
+let brute_force_explains config specs observations =
+  let rows = Array.of_list specs in
+  let n = Array.length rows in
+  let own = Array.make n Portset.empty and shared = Array.make n Portset.empty in
+  let exception Found in
+  let consistent_now () =
+    let m = Mapping.create ~num_ports:config.Cegis.num_ports in
+    Array.iteri
+      (fun i (s, spec) ->
+         Mapping.set m s
+           (match spec with
+            | Encoding.Proper _ -> [ (own.(i), 1) ]
+            | Encoding.Improper _ -> [ (own.(i), 1); (shared.(i), 1) ]))
+      rows;
+    if List.for_all (Cegis.consistent config m) observations then raise Found
+  in
+  let rec share i =
+    if i = n then consistent_now ()
+    else
+      match snd rows.(i) with
+      | Encoding.Proper _ -> share (i + 1)
+      | Encoding.Improper _ ->
+        for j = 0 to n - 1 do
+          if j <> i then begin
+            shared.(i) <- own.(j);
+            share (i + 1)
+          end
+        done
+  in
+  let rec assign i =
+    if i = n then share 0
+    else
+      let c =
+        match snd rows.(i) with
+        | Encoding.Proper c -> c
+        | Encoding.Improper { own_ports } -> own_ports
+      in
+      List.iter
+        (fun ports ->
+           own.(i) <- ports;
+           assign (i + 1))
+        (port_sets config.Cegis.num_ports c)
+  in
+  match assign 0 with () -> false | exception Found -> true
+
+(* A random toy culprit search: up to four specs on up to four ports
+   (at least one proper, sometimes an improper store-blocker-like row),
+   observations measured on a hidden mapping that honours the specs, some
+   of them planted anomalies, and a sequence of queries over random spec
+   and observation subsets, as [Pipeline.find_culprit] issues them. *)
+let random_culprit_search rng =
+  let num_ports = 2 + Random.State.int rng 3 in
+  let config =
+    { (cegis_config num_ports) with
+      Cegis.certify = Random.State.int rng 3 = 0 }
+  in
+  let n = 2 + Random.State.int rng 3 in
+  let catalog = toy_catalog n in
+  let pick_set c =
+    let sets = port_sets num_ports c in
+    List.nth sets (Random.State.int rng (List.length sets))
+  in
+  let specs =
+    List.init n (fun i ->
+        let s = Catalog.find catalog i in
+        let c = 1 + Random.State.int rng num_ports in
+        if i > 0 && Random.State.int rng 3 = 0 then
+          (s, Encoding.Improper { own_ports = c })
+        else (s, Encoding.Proper c))
+  in
+  let truth = Mapping.create ~num_ports in
+  let owns =
+    List.map
+      (fun (_, spec) ->
+         pick_set
+           (match spec with
+            | Encoding.Proper c -> c
+            | Encoding.Improper { own_ports } -> own_ports))
+      specs
+    |> Array.of_list
+  in
+  List.iteri
+    (fun i (s, spec) ->
+       match spec with
+       | Encoding.Proper _ -> Mapping.set truth s [ (owns.(i), 1) ]
+       | Encoding.Improper _ ->
+         let j = (i + 1 + Random.State.int rng (n - 1)) mod n in
+         Mapping.set truth s [ (owns.(i), 1); (owns.(j), 1) ])
+    specs;
+  let schemes = List.map fst specs in
+  let observe e =
+    let cycles = Cegis.modeled_inverse config truth e in
+    let cycles =
+      (* Planted anomaly: a measurement off by half a cycle or more. *)
+      if Random.State.int rng 6 = 0 then
+        Rat.add cycles (Rat.of_ints (1 + Random.State.int rng 4) 2)
+      else cycles
+    in
+    { Cegis.experiment = e; cycles }
+  in
+  let observations =
+    List.map (fun s -> observe (Experiment.singleton s)) schemes
+    @ List.init (2 + Random.State.int rng 5) (fun _ ->
+        observe
+          (Experiment.of_counts
+             (List.filter_map
+                (fun s ->
+                   if Random.State.int rng 2 = 0 then None
+                   else Some (s, 1 + Random.State.int rng 3))
+                schemes)))
+    |> List.filter (fun o -> not (Experiment.is_empty o.Cegis.experiment))
+  in
+  let query () =
+    let specs' =
+      List.filter (fun _ -> Random.State.int rng 4 > 0) specs
+    in
+    let specs' =
+      if List.exists
+          (fun (_, spec) ->
+             match spec with Encoding.Proper _ -> true | Encoding.Improper _ -> false)
+          specs'
+      then specs'
+      else List.hd specs :: specs'
+    in
+    let inside o =
+      List.for_all
+        (fun s -> List.exists (fun (s', _) -> Scheme.equal s s') specs')
+        (Experiment.schemes o.Cegis.experiment)
+    in
+    let observations' =
+      List.filter (fun o -> inside o && Random.State.int rng 5 > 0) observations
+    in
+    (specs', observations')
+  in
+  (config, specs, List.init (3 + Random.State.int rng 6) (fun _ -> query ()))
+
+let prop_culprit_session_differential =
+  QCheck2.Test.make ~name:"session verdicts = fresh verdicts" ~count:60
+    QCheck2.Gen.int
+    (fun seed ->
+       let rng = Random.State.make [| seed |] in
+       let config, specs, queries = random_culprit_search rng in
+       let session = Cegis.Culprit.create ~config ~specs () in
+       List.for_all
+         (fun (specs', observations) ->
+            let fresh =
+              Cegis.Culprit.explains
+                (Cegis.Culprit.create ~config ~specs:specs' ())
+                ~specs:specs' ~observations
+            in
+            let shared =
+              Cegis.Culprit.explains session ~specs:specs' ~observations
+            in
+            let reference = brute_force_explains config specs' observations in
+            if shared <> fresh || fresh <> reference then
+              QCheck2.Test.fail_reportf
+                "session %b, fresh %b, brute force %b on %d specs, %d \
+                 observations"
+                shared fresh reference (List.length specs')
+                (List.length observations)
+            else true)
+         queries)
+
+(* Every row assignment a generalised lemma blocks must violate the
+   observation it was learnt from, under the naive exact oracle.  The
+   encoding's models are enumerated exhaustively (≤ 4 ports, ≤ 3 rows). *)
+let test_generalised_lemmas_sound () =
+  let rng = Random.State.make [| 4242 |] in
+  let shorter = ref 0 and lemmas = ref 0 in
+  for _ = 1 to 40 do
+    let num_ports = 2 + Random.State.int rng 3 in
+    let config = cegis_config num_ports in
+    let n = 1 + Random.State.int rng 3 in
+    let catalog = toy_catalog n in
+    let specs =
+      List.init n (fun i ->
+          let c = 1 + Random.State.int rng num_ports in
+          ( Catalog.find catalog i,
+            if i > 0 && Random.State.int rng 2 = 0 then
+              Encoding.Improper { own_ports = c }
+            else Encoding.Proper c ))
+    in
+    let enc = Encoding.create ~num_ports ~symmetry_breaking:false specs in
+    let sat = Encoding.sat enc in
+    let rec models acc =
+      match Pmi_smt.Sat.solve sat with
+      | Pmi_smt.Sat.Unsat -> acc
+      | Pmi_smt.Sat.Sat model ->
+        Pmi_smt.Sat.add_clause sat (Encoding.block_model enc model);
+        models (model :: acc)
+    in
+    let models = models [] in
+    let falsified model lemma =
+      List.for_all
+        (fun l ->
+           let v = Pmi_smt.Lit.var l in
+           model.(v) <> Pmi_smt.Lit.is_pos l)
+        lemma
+    in
+    let experiment =
+      Experiment.of_counts
+        (List.map (fun (s, _) -> (s, 1 + Random.State.int rng 3)) specs)
+    in
+    let cycles =
+      Rat.of_ints (1 + Random.State.int rng (4 * Experiment.length experiment)) 4
+    in
+    let obs = { Cegis.experiment; cycles } in
+    List.iter
+      (fun model ->
+         if not (Cegis.consistent config (Encoding.decode enc model) obs) then begin
+           let lemma = Cegis.Culprit.refute config enc model obs in
+           incr lemmas;
+           if
+             List.length lemma
+             < List.length
+                 (Encoding.block_footprint enc model
+                    (Experiment.schemes experiment))
+           then incr shorter;
+           Alcotest.(check bool) "lemma refutes its own model" true
+             (falsified model lemma);
+           List.iter
+             (fun other ->
+                if falsified other lemma then
+                  if Cegis.consistent config (Encoding.decode enc other) obs then
+                    Alcotest.failf
+                      "lemma blocks %s, which explains %s at %s cycles"
+                      (Format.asprintf "%a" Mapping.pp (Encoding.decode enc other))
+                      (Experiment.to_string experiment) (Rat.to_string cycles))
+             models
+         end)
+      models
+  done;
+  Alcotest.(check bool) "some lemmas were checked" true (!lemmas > 0);
+  Alcotest.(check bool) "some lemmas were generalised" true (!shorter > 0)
+
+(* The gates stay on the culprit path: with EncLint and certification on,
+   a toy §4.3 search (the imul saturation anomaly next to an innocent
+   class) runs without an EncLint error, certifies one verdict per SAT
+   episode, and names the same culprit as the ungated search. *)
+let test_culprit_search_gated () =
+  let catalog = toy_catalog 3 in
+  let i_add = Catalog.find catalog 0 in
+  let i_mul = Catalog.find catalog 1 in
+  let i_vec = Catalog.find catalog 2 in
+  let config =
+    { (cegis_config 5) with Cegis.r_max = 6; max_experiment_size = 5 }
+  in
+  let measure e =
+    let n_add = Experiment.count e i_add in
+    let n_mul = Experiment.count e i_mul in
+    let n_vec = Experiment.count e i_vec in
+    if n_add = 4 && n_mul = 1 && n_vec = 0 then Rat.of_ints 3 2
+    else
+      (* add on ports 0-3, imul on port 0, the vector class on port 4. *)
+      List.fold_left Rat.max
+        (Rat.of_ints (Experiment.length e) config.Cegis.r_max)
+        [ Rat.of_int n_mul; Rat.of_ints (n_add + n_mul) 4; Rat.of_int n_vec ]
+  in
+  let specs =
+    [ (i_add, Encoding.Proper 4); (i_mul, Encoding.Proper 1);
+      (i_vec, Encoding.Proper 1) ]
+  in
+  let observations =
+    match Cegis.infer ~config ~measure ~specs () with
+    | Cegis.No_consistent_mapping stats -> stats.Cegis.observations
+    | Cegis.Converged _ | Cegis.Iteration_limit _ ->
+      Alcotest.fail "expected the anomaly to make the inference UNSAT"
+  in
+  let ungated = Pipeline.find_culprit config ~measure specs observations in
+  let module Obs = Pmi_obs.Obs in
+  Obs.enable ();
+  let gated =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        Pipeline.find_culprit
+          { config with Cegis.enclint = true; certify = true }
+          ~measure specs observations)
+  in
+  let counter name = Obs.value (Obs.counter name) in
+  let names = Option.map (List.map Scheme.name) in
+  Alcotest.(check (option (list string))) "same culprit" (names ungated)
+    (names gated);
+  Alcotest.(check bool) "a culprit was found" true (gated <> None);
+  Alcotest.(check bool) "queries ran" true (counter "culprit.queries" > 0);
+  Alcotest.(check int) "every SAT episode certified"
+    (counter "cegis.sat_episodes")
+    (counter "cegis.certificates_checked")
+
+(* ------------------------------------------------------------------ *)
 (* Relabel                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -881,6 +1183,12 @@ let () =
          Alcotest.test_case "UNSAT on the imul anomaly (§4.3)" `Quick
            test_cegis_unsat_on_anomaly;
          QCheck_alcotest.to_alcotest prop_cegis_sound ]);
+      ("culprit",
+       [ QCheck_alcotest.to_alcotest prop_culprit_session_differential;
+         Alcotest.test_case "generalised lemmas are sound" `Quick
+           test_generalised_lemmas_sound;
+         Alcotest.test_case "search keeps the EncLint and certify gates" `Quick
+           test_culprit_search_gated ]);
       ("relabel",
        [ Alcotest.test_case "perfect alignment" `Quick test_relabel_perfect;
          Alcotest.test_case "drops ambiguous schemes" `Quick
