@@ -272,212 +272,6 @@ let infer reduced seed =
       (Obs.dropped ())
 
 (* ------------------------------------------------------------------ *)
-(* Delta: online incremental re-inference over an arrival stream       *)
-(* ------------------------------------------------------------------ *)
-
-module Cegis = Pmi_core.Cegis
-
-(* Deterministic Fisher-Yates so the arrival order is reproducible from
-   the measurement seed. *)
-let shuffle seed l =
-  let st = Random.State.make [| 0x9e3779b9; seed |] in
-  let a = Array.of_list l in
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
-
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
-
-let rec drop n = function
-  | _ :: rest when n > 0 -> drop (n - 1) rest
-  | l -> l
-
-(* Mean absolute percentage error of a mapping's throughput model against
-   the harness, over every singleton and pair of the given schemes — the
-   same flavour of number the funnel/Figure-5 path reports, small enough
-   to recompute for both mappings here. *)
-let mapping_mape config harness mapping schemes =
-  let experiments =
-    List.map Pmi_portmap.Experiment.singleton schemes
-    @ List.concat_map
-        (fun a ->
-           List.filter_map
-             (fun b ->
-                if Scheme.id a <= Scheme.id b then
-                  Some (Pmi_portmap.Experiment.of_list [ a; b ])
-                else None)
-             schemes)
-        schemes
-  in
-  let total =
-    List.fold_left
-      (fun acc e ->
-         let measured =
-           Pmi_numeric.Rat.to_float (Harness.cycles harness e)
-         in
-         let predicted =
-           Pmi_numeric.Rat.to_float (Cegis.modeled_inverse config mapping e)
-         in
-         if measured = 0.0 then acc
-         else acc +. (Float.abs (predicted -. measured) /. measured))
-      0.0 experiments
-  in
-  (100.0 *. total /. float_of_int (List.length experiments),
-   List.length experiments)
-
-(* Replay the inferred catalog as a shuffled arrival stream: the last
-   [stream] blocking classes of a deterministic shuffle arrive one batch
-   at a time against a session seeded with the rest, then the same final
-   spec set is re-inferred from scratch (on a fresh harness, so both
-   sides pay their own measurement cost) for the A/B comparison. *)
-let delta_stream stream batch_size reduced seed =
-  let harness, result = run_pipeline ~reduced ~seed in
-  let all_specs =
-    List.filter_map
-      (fun k ->
-         let s = k.Blocking.representative in
-         let removed =
-           List.exists
-             (fun r -> Scheme.equal r.Blocking.representative s)
-             result.Pipeline.removed_classes
-         in
-         if removed then None
-         else
-           match Mapping.find_opt result.Pipeline.blocker_mapping s with
-           | Some _ -> Some (s, Pmi_core.Encoding.Proper k.Blocking.port_count)
-           | None -> None)
-      result.Pipeline.filtering.Blocking.classes
-  in
-  let all_specs = shuffle seed all_specs in
-  let n = List.length all_specs in
-  if n < 2 then begin
-    Format.eprintf
-      "delta: only %d proper blocking class(es); nothing to stream@." n;
-    exit 2
-  end;
-  let stream = max 1 (min stream (n - 1)) in
-  let batch_size = max 1 batch_size in
-  let base = drop stream all_specs in
-  let arrivals = take stream all_specs in
-  let base_mapping = Mapping.create ~num_ports:(Mapping.num_ports result.Pipeline.blocker_mapping) in
-  List.iter
-    (fun (s, _) ->
-       Mapping.set base_mapping s (Mapping.usage result.Pipeline.blocker_mapping s))
-    base;
-  let config = make_cegis_config () in
-  let session =
-    Cegis.Delta.start ~config
-      ~measure:(Harness.cycles harness)
-      ~measure_batch:(Harness.sweep harness)
-      ~mapping:base_mapping ~specs:base ()
-  in
-  Format.printf
-    "@.== Delta re-inference: %d frozen schemes, %d arrivals, batch %d%s ==@."
-    (List.length base) stream batch_size
-    (if !certify then ", certified" else "");
-  let t_delta = ref 0.0 in
-  let flushes = ref 0 in
-  let flush () =
-    let pending = Cegis.Delta.pending session in
-    if pending > 0 then begin
-      let t0 = Unix.gettimeofday () in
-      let outcome = Cegis.Delta.flush session in
-      let dt = Unix.gettimeofday () -. t0 in
-      t_delta := !t_delta +. dt;
-      incr flushes;
-      match outcome with
-      | Cegis.Delta_applied (Cegis.Converged (_, stats)) ->
-        Format.printf
-          "flush %d: %d scheme(s) in %.3f s  (%d iterations, %d experiments, \
-           %d lemmas)@."
-          !flushes pending dt stats.Cegis.iterations
-          (List.length stats.Cegis.observations)
-          stats.Cegis.theory_lemmas
-      | Cegis.Delta_fallback (Cegis.Converged _) ->
-        Format.printf
-          "flush %d: %d scheme(s) in %.3f s  (fell back to full re-inference)@."
-          !flushes pending dt
-      | Cegis.Delta_applied _ | Cegis.Delta_fallback _ ->
-        Format.eprintf "delta: flush %d did not converge@." !flushes;
-        exit 2
-    end
-  in
-  List.iter
-    (fun (s, spec) ->
-       Cegis.Delta.enqueue session s spec;
-       if Cegis.Delta.pending session >= batch_size then flush ())
-    arrivals;
-  flush ();
-  (* The A/B leg: full re-inference of the identical final spec set on a
-     fresh harness, so its measurements are not answered from the delta
-     run's cache. *)
-  let harness2 = make_harness ~reduced ~seed in
-  let t0 = Unix.gettimeofday () in
-  let full_outcome =
-    Cegis.infer ~config ~measure:(Harness.cycles harness2) ~specs:all_specs ()
-  in
-  let t_full = Unix.gettimeofday () -. t0 in
-  match full_outcome with
-  | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-    Format.eprintf "delta: full re-inference failed to converge@.";
-    exit 2
-  | Cegis.Converged (m_full, _) ->
-    let m_delta = Cegis.Delta.mapping session in
-    let schemes = List.map fst all_specs in
-    (* Mappings are only defined up to a port permutation, and the delta
-       session keeps the seed labelling while the fresh run picks its own;
-       align before counting per-scheme agreement. *)
-    let m_delta_aligned =
-      let docs =
-        List.filter_map
-          (fun s ->
-             Option.map (fun u -> (s, u)) (Mapping.find_opt m_full s))
-          schemes
-      in
-      match Pmi_core.Relabel.align ~docs m_delta with
-      | Some a -> Pmi_core.Relabel.apply a.Pmi_core.Relabel.permutation m_delta
-      | None -> m_delta
-    in
-    let agree =
-      List.length
-        (List.filter
-           (fun s ->
-              match
-                (Mapping.find_opt m_delta_aligned s, Mapping.find_opt m_full s)
-              with
-              | Some a, Some b -> Mapping.equal_usage a b
-              | _ -> false)
-           schemes)
-    in
-    let mape_delta, sample = mapping_mape config harness m_delta schemes in
-    let mape_full, _ = mapping_mape config harness m_full schemes in
-    Format.printf
-      "@.delta:  %.3f s across %d flush(es) (%.3f s per flush, %d fallback(s))@."
-      !t_delta !flushes
-      (!t_delta /. float_of_int (max 1 !flushes))
-      (Cegis.Delta.fallbacks session);
-    Format.printf "full:   %.3f s for one re-inference of all %d schemes@."
-      t_full n;
-    Format.printf "speedup: %.1fx per arrival batch@."
-      (t_full /. (!t_delta /. float_of_int (max 1 !flushes)));
-    Format.printf
-      "@.equivalence: %d/%d schemes with syntactically identical usage; \
-       MAPE over %d experiments: delta %.2f%%, full %.2f%%@."
-      agree n sample mape_delta mape_full;
-    if Float.abs (mape_delta -. mape_full) > 0.5 then begin
-      Format.eprintf
-        "delta: MAPE diverges from the batch baseline (%.2f%% vs %.2f%%)@."
-        mape_delta mape_full;
-      exit 2
-    end
-
-(* ------------------------------------------------------------------ *)
 (* Export / analyze: the downstream-tool workflow                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -711,9 +505,10 @@ let mapcheck_run files json reduced _seed =
 module Enclint = Pmi_analysis.Enclint
 
 (* [pmi_repro enclint] analyzes the built-in encoding shapes — a
-   creation-time encoding with symmetry breaking, and a delta session
-   after an append/retire/re-append cycle — plus one encoding rebuilt
-   from each mapping file given on the command line. *)
+   creation-time encoding with symmetry breaking, and a guarded encoding
+   (the §4.3 culprit session's shape) with a strict subset of its rows
+   activated — plus one encoding rebuilt from each mapping file given on
+   the command line. *)
 let enclint_run files json reduced _seed =
   let module Encoding = Pmi_core.Encoding in
   let catalog =
@@ -745,15 +540,15 @@ let enclint_run files json reduced _seed =
     in
     analyze_encoding encoding
   in
-  let delta () =
+  let guarded () =
     let add, mul, fma = toy_schemes () in
-    let encoding = Encoding.create ~num_ports:3 ~symmetry_breaking:false [] in
-    Encoding.append_row encoding add (Encoding.Proper 2);
-    Encoding.append_row encoding mul (Encoding.Proper 2);
-    Encoding.append_row encoding fma (Encoding.Proper 1);
-    Encoding.retire_row encoding mul;
-    Encoding.append_row encoding mul (Encoding.Proper 3);
-    analyze_encoding ~frozen:(Encoding.row_assumptions encoding) encoding
+    let encoding =
+      Encoding.create ~num_ports:3 ~guarded:true
+        [ (add, Encoding.Proper 2); (mul, Encoding.Proper 1);
+          (fma, Encoding.Improper { own_ports = 1 }) ]
+    in
+    let frozen = Encoding.activate encoding [ add; fma ] in
+    analyze_encoding ~frozen encoding
   in
   let from_file path =
     if not (Sys.file_exists path) then
@@ -797,7 +592,7 @@ let enclint_run files json reduced _seed =
           analyze_encoding ~accepted:m encoding
     end
   in
-  let diags = creation () @ delta () @ List.concat_map from_file files in
+  let diags = creation () @ guarded () @ List.concat_map from_file files in
   Diag.print_all ~json diags;
   prerr_endline (Diag.summary ~pass:"enclint" diags);
   if Diag.errors diags <> [] then exit 1
@@ -885,59 +680,6 @@ let sanitize_cegis ~schedules =
        infer ())
     (replay_seeds (min schedules 4) 2)
 
-let sanitize_delta ~schedules =
-  (* A parallel delta batch: the session's distinguishing search and
-     validation sweep fan out over the pool while the flush mutates the
-     shared observation vector and lemma pool, which is exactly the shape
-     the vector clocks need to see.  Two schemes are frozen, one
-     arrives. *)
-  let toy =
-    Catalog.of_list
-      [ ("add", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-         Iclass.plain (Iclass.Single Iclass.Alu));
-        ("mul", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-         Iclass.plain (Iclass.Single Iclass.Alu));
-        ("fma", [ Operand.gpr 64; Operand.gpr ~access:Operand.Read 64 ],
-         Iclass.plain (Iclass.Single Iclass.Alu)) ]
-  in
-  let add = Catalog.find toy 0
-  and mul = Catalog.find toy 1
-  and fma = Catalog.find toy 2 in
-  let truth = Mapping.create ~num_ports:3 in
-  Mapping.set truth add [ (Pmi_portmap.Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth mul [ (Pmi_portmap.Portset.of_list [ 1; 2 ], 1) ];
-  Mapping.set truth fma [ (Pmi_portmap.Portset.singleton 2, 1) ];
-  let config =
-    { Pmi_core.Cegis.default_config with
-      Pmi_core.Cegis.num_ports = 3; r_max = 4; max_experiment_size = 3;
-      symmetry_breaking = false; domains = 2 }
-  in
-  let measure e = Pmi_core.Cegis.modeled_inverse config truth e in
-  let base = [ (add, Pmi_core.Encoding.Proper 2);
-               (mul, Pmi_core.Encoding.Proper 2) ] in
-  let run_once () =
-    let base_mapping =
-      match Pmi_core.Cegis.infer ~config ~measure ~specs:base () with
-      | Pmi_core.Cegis.Converged (m, _) -> m
-      | _ -> raise (Sanitize_broken "delta base inference failed to converge")
-    in
-    match
-      Pmi_core.Cegis.infer_delta ~config ~measure ~mapping:base_mapping
-        ~specs:base
-        ~updates:[ (fma, Pmi_core.Encoding.Proper 1) ]
-        ()
-    with
-    | Pmi_core.Cegis.Delta_applied (Pmi_core.Cegis.Converged _) -> ()
-    | _ -> raise (Sanitize_broken "delta flush failed to converge")
-  in
-  Pool.set_schedule Pool.Os;
-  run_once ();
-  List.iter
-    (fun seed ->
-       Pool.set_schedule (Pool.Replay seed);
-       run_once ())
-    (replay_seeds (min schedules 4) 2)
-
 let sanitize_harness_sweep ~schedules ~reduced =
   let per_bucket = if reduced > 0 then reduced else 2 in
   let experiments catalog =
@@ -984,7 +726,6 @@ let sanitize schedules plant json reduced _seed =
     try
       sanitize_pool_primitives ~schedules;
       sanitize_cegis ~schedules;
-      sanitize_delta ~schedules;
       sanitize_harness_sweep ~schedules ~reduced;
       if plant then sanitize_planted ();
       Ok ()
@@ -1168,9 +909,9 @@ let certify_flag =
 
 let enclint_global_flag =
   let doc = "Statically analyze every CEGIS encoding before each solver \
-             episode (guard structure, cardinality-network bounds, \
-             retired-row reachability); an error-severity finding aborts \
-             the run." in
+             episode and culprit query (guard structure, \
+             cardinality-network bounds, theory lemmas); an error-severity \
+             finding aborts the run." in
   Arg.(value & flag & info [ "enclint" ] ~doc)
 
 let store_flag =
@@ -1231,25 +972,6 @@ let () =
               "Run the CEGIS inference and print its statistics (pair with \
                --trace/--metrics for a full telemetry timeline)"
               infer;
-            (let stream_n =
-               let doc = "Number of blocking classes replayed as arrivals \
-                          (the rest seed the frozen session)." in
-               Arg.(value & opt int 3 & info [ "stream" ] ~docv:"N" ~doc)
-             in
-             let batch =
-               let doc = "Arrivals accumulated per flush (one solver episode \
-                          covers the whole batch)." in
-               Arg.(value & opt int 1 & info [ "batch" ] ~docv:"B" ~doc)
-             in
-             Cmd.v
-               (Cmd.info "delta"
-                  ~doc:"Replay the catalog as a shuffled arrival stream \
-                        through a delta-CEGIS session and A/B it against \
-                        full re-inference (per-flush latency, speedup, and \
-                        a mapping-equivalence report)")
-               Term.(const (fun stream_n batch run ->
-                   run (delta_stream stream_n batch))
-                     $ stream_n $ batch $ with_globals));
             cmd "export" "Infer the port mapping and write it to a file" export;
             cmd "diff" "Compare the inferred mapping with the documentation" diff;
             cmd "report" "Write a markdown report of the whole study" report;
@@ -1329,8 +1051,8 @@ let () =
              Cmd.v
                (Cmd.info "enclint"
                   ~doc:"Statically analyze the CEGIS encodings (guard \
-                        structure, cardinality-network bounds, retired-row \
-                        reachability) without running the solver; exits \
+                        structure, cardinality-network bounds, theory \
+                        lemmas) without running the solver; exits \
                         non-zero on any error-severity diagnostic")
                Term.(const (fun files json run ->
                    run (enclint_run files json))
@@ -1356,8 +1078,8 @@ let () =
              Cmd.v
                (Cmd.info "sanitize"
                   ~doc:"Run the parallel workloads (pool primitives, CEGIS \
-                        distinguishing search and validation sweeps, delta \
-                        batches, harness cache) under the vector-clock race \
+                        distinguishing search and validation sweeps, \
+                        harness cache) under the vector-clock race \
                         detector, across OS scheduling and deterministic \
                         schedule replay; exits non-zero on any data race")
                Term.(const (fun schedules plant json run ->

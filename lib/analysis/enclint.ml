@@ -8,7 +8,7 @@
 
    - structural checks walk the clause database and the guard layer
      (dead variables, duplicate/tautological clauses, networks missing
-     their guard literal, retired-row literals still reachable, frozen
+     their guard literal, unguarded rows in a guarded encoding, frozen
      literals that no longer occur);
    - semantic checks re-verify every cardinality network against its
      declared bound by exhaustive enumeration of the input cone (a
@@ -29,9 +29,7 @@ let diag = Diag.make
 
 type row = {
   subject : string;
-  vars : int list;
   act : int;                          (* -1 when unguarded *)
-  live : bool;
   networks : (int * Card.network) list;  (* (declared bound, network) *)
 }
 
@@ -154,7 +152,7 @@ let check_network ~max_cone ~cone_memo ~subject ~declared push
     (* Vacuity: with the guard literal satisfied the whole network must be
        satisfiable regardless of the inputs — this is the semantic face of
        the dropped-guard mutation (a clause missing its guard can force
-       registers even when the row is retired). *)
+       registers even when the row is switched off). *)
     (match net.guard with
      | None -> ()
      | Some g ->
@@ -225,34 +223,11 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
     let v = Sat.root_value sat (Lit.var l) in
     if v = 0 then 0 else if (v = 1) = Lit.is_pos l then 1 else -1
   in
-  let root_satisfied c = List.exists (fun l -> lit_root l = 1) c in
-  (* Retired-row bookkeeping, shared by several passes below. *)
-  let retired = Hashtbl.create 16 in
-  let retired_owned = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-       if not r.live then begin
-         List.iter
-           (fun v ->
-              Hashtbl.replace retired v r.subject;
-              Hashtbl.replace retired_owned v ())
-           r.vars;
-         if r.act >= 0 then begin
-           Hashtbl.replace retired r.act r.subject;
-           Hashtbl.replace retired_owned r.act ()
-         end;
-         List.iter
-           (fun (_, (net : Card.network)) ->
-              List.iter (fun v -> Hashtbl.replace retired_owned v ()) net.aux)
-           r.networks
-       end)
-    view.rows;
   (* Database passes.  One fused walk over the problem clauses computes
-     literal occurrence, the duplicate-detection fingerprint buckets and
-     the materialized long-clause lists (reused by the retired-reachable
-     scan) in a single traversal; [db = false] skips all of it — the CEGIS
-     gate analyzes a solver's database once and re-checks only the view
-     layer on later episodes of the same solver. *)
+     literal occurrence and the duplicate-detection fingerprint buckets in
+     a single traversal; [db = false] skips all of it — the CEGIS gate
+     analyzes a solver's database once and re-checks only the view layer
+     on later episodes of the same solver. *)
   if db then begin
     let occurs = Array.make (max 1 nv) false in
     let mark l =
@@ -277,26 +252,13 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
       Hashtbl.replace buckets key
         (c :: Option.value ~default:[] (Hashtbl.find_opt buckets key))
     in
-    (* The long-clause list is only re-read by the retired-reachable scan;
-       without retired rows, visiting is enough. *)
-    let keep_longs = Hashtbl.length retired > 0 in
-    let longs = ref [] in
-    Sat.iter_long_problem_clauses sat (fun _ lits ->
-        if keep_longs then longs := lits :: !longs;
-        visit lits);
-    let bins = Sat.binary_problem_clauses sat in
-    List.iter (fun (a, b) -> visit [ a; b ]) bins;
+    Sat.iter_long_problem_clauses sat (fun _ lits -> visit lits);
+    List.iter (fun (a, b) -> visit [ a; b ]) (Sat.binary_problem_clauses sat);
     List.iter mark (Sat.root_units sat);
     (* Dead variables: allocated, never constrained, never assigned.  The
-       solver will branch on them and double the model count for nothing.
-       Retired rows are exempt: their activation literal is false at the
-       root, so nothing needs to constrain their variables any more. *)
+       solver will branch on them and double the model count for nothing. *)
     for v = 0 to nv - 1 do
-      if
-        (not occurs.(v))
-        && Sat.root_value sat v = 0
-        && not (Hashtbl.mem retired_owned v)
-      then
+      if (not occurs.(v)) && Sat.root_value sat v = 0 then
         push
           (diag "dead-var" Warning
              (match Sat.var_name sat v with
@@ -327,29 +289,6 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
                        (List.length key) n))
              canon_counts)
       buckets;
-    (* Retired rows: their literals must be unreachable from live clauses.
-       Every clause that mentions one must be root-satisfied (by the ¬act
-       retirement unit or otherwise) — anything else re-animates a dead
-       delta row. *)
-    if Hashtbl.length retired > 0 then begin
-      let flagged = Hashtbl.create 8 in
-      let scan c =
-        if not (root_satisfied c) then
-          List.iter
-            (fun l ->
-               match Hashtbl.find_opt retired (Lit.var l) with
-               | Some subject when not (Hashtbl.mem flagged subject) ->
-                 Hashtbl.replace flagged subject ();
-                 push
-                   (diag "retired-reachable" Error subject
-                      "retired row literal occurs in a live clause that \
-                       is not root-satisfied")
-               | _ -> ())
-            c
-      in
-      List.iter scan !longs;
-      List.iter (fun (a, b) -> scan [ a; b ]) bins
-    end;
     (* Frozen assumption literals must still occur somewhere, or the
        freeze pins a variable nothing reads. *)
     List.iter
@@ -366,11 +305,11 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
   let guarded = List.exists (fun r -> r.act >= 0) view.rows in
   List.iter
     (fun r ->
-       if guarded && r.live && r.act < 0 then
+       if guarded && r.act < 0 then
          push
            (diag "unguarded-row" Error r.subject
               "row has no activation literal in an encoding where other \
-               rows are guarded: it can never be retired");
+               rows are guarded: it can never be switched off");
        if r.act >= 0 then begin
          let g = Lit.neg_of_var r.act in
          List.iter
@@ -399,16 +338,6 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
            r.networks
        end)
     view.rows;
-  (* Retired activation literals must be false at the root regardless of
-     [db] — this is the view-layer face of retirement. *)
-  List.iter
-    (fun r ->
-       if (not r.live) && r.act >= 0 && Sat.root_value sat r.act <> -1 then
-         push
-           (diag "retired-reachable" Error r.subject
-              "retired row's activation literal is not false at the \
-               root: its constraints are still in force"))
-    view.rows;
   (* Semantic cardinality verification. *)
   List.iter
     (fun r ->
@@ -422,13 +351,13 @@ let analyze ?(max_cone = 12) ?cone_memo ?(db = true) sat view =
      guards) and mutual redundancy. *)
   let accepted = Hashtbl.create 16 in
   List.iter (fun (v, b) -> Hashtbl.replace accepted v b) view.accepted;
-  let live_acts = Hashtbl.create 16 in
+  let acts = Hashtbl.create 16 in
   List.iter
-    (fun r -> if r.live && r.act >= 0 then Hashtbl.replace live_acts r.act ())
+    (fun r -> if r.act >= 0 then Hashtbl.replace acts r.act ())
     view.rows;
   let lemma_lit_false l =
     let v = Lit.var l in
-    if Hashtbl.mem live_acts v then
+    if Hashtbl.mem acts v then
       (* Guard active: act true, so the ¬act disjunct is false. *)
       not (Lit.is_pos l)
     else

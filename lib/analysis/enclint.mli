@@ -8,10 +8,8 @@
 
     {b Structural} — [dead-var] (allocated but unconstrained variables),
     [duplicate-clause], [tautology], [missing-guard] (a guarded row's
-    network clause without its [¬act] literal), [unguarded-row] (a live
-    row with no activation in a guarded encoding), [retired-reachable]
-    (retired-row literals in live, non-root-satisfied clauses, or a
-    retirement that never forced [¬act]), [frozen-unused].
+    network clause without its [¬act] literal), [unguarded-row] (a row
+    with no activation in a guarded encoding), [frozen-unused].
 
     {b Semantic} — [card-bound]/[card-guard]/[bound-mismatch]: every
     recorded [Card] network with at most [max_cone] inputs is verified
@@ -31,9 +29,7 @@ type severity = Pmi_diag.Diag.severity =
 
 type row = {
   subject : string;            (** e.g. the scheme name *)
-  vars : int list;             (** the row's own/shared/selector variables *)
   act : int;                   (** activation variable, [-1] if unguarded *)
-  live : bool;                 (** [false] once retired *)
   networks : (int * Pmi_smt.Card.network) list;
       (** recorded cardinality networks with the bound the encoding
           declared when it built each *)
@@ -71,9 +67,7 @@ val analyze :
     run).
 
     [db] (default [true]) controls the clause-database passes (dead
-    variables, duplicate clauses, retired-literal reachability over the
-    clauses, frozen-unused).  With [~db:false] only the view-layer checks
-    run — guards, retirement root-values, cardinality cones,
-    lemmas — which is what the CEGIS gate uses on repeat episodes of a
+    variables, duplicate clauses, frozen-unused).  With [~db:false] only
+    the view-layer checks run — guards, cardinality cones, lemmas — which is what the CEGIS gate uses on repeat episodes of a
     solver whose database it has already vetted.  Must be called at
     decision level 0. *)

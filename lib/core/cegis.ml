@@ -116,10 +116,9 @@ let consistent config mapping obs =
    depends only on the observation and the decoded rows of its own
    schemes, and the SAT models of one inference repeat most rows, so each
    verdict is stored per observation under those rows (port-set masks and
-   multiplicities, each scheme closed by a 0).  [infer] and delta flushes
-   keep one table per position of their growing observation log; a
-   culprit session keeps one per distinct observation for the whole
-   search. *)
+   multiplicities, each scheme closed by a 0).  [infer] keeps one table
+   per position of its growing observation log; a culprit session keeps
+   one per distinct observation for the whole search. *)
 module Rows = Hashtbl.Make (struct
     type t = int list
     let equal = List.equal Int.equal
@@ -214,13 +213,12 @@ let fresh_encoding config specs pool =
      re-enumerated — neither on later episodes of the same solver nor
      when a fresh same-spec encoding rebuilds them, as every [infer]
      round of the §4.3 culprit removal does.
-   - [enclint_db_seen] maps [Sat.id] to the retired-row signature under
-     which the clause-database passes (dead vars, duplicates, retired
-     reachability, frozen-unused) last ran.  Those passes only change
-     when the database does structurally: a new solver or a retirement;
-     episodes in between run the view-layer checks only. *)
+   - [enclint_db_seen] holds the [Sat.id] of every solver whose
+     clause-database passes (dead vars, duplicates, frozen-unused) have
+     run.  Those passes run once per solver; its later episodes run the
+     view-layer checks only. *)
 let enclint_cone_memo : (string, unit) Hashtbl.t = Hashtbl.create 64
-let enclint_db_seen : (int, string) Hashtbl.t = Hashtbl.create 16
+let enclint_db_seen : (int, unit) Hashtbl.t = Hashtbl.create 16
 
 (* [lemmas] is a thunk so the (possibly large) pool-to-list conversion
    is only paid when the gate is actually on. *)
@@ -230,21 +228,8 @@ let enclint_gate config ?lemmas ?frozen encoding =
     let sat = Encoding.sat encoding in
     let lemmas = Option.map (fun f -> f ()) lemmas in
     let view = Encoding.enclint_view ?lemmas ?frozen encoding in
-    let retired_sig =
-      String.concat ";"
-        (List.filter_map
-           (fun (r : Pmi_analysis.Enclint.row) ->
-              if r.Pmi_analysis.Enclint.live then None
-              else Some r.Pmi_analysis.Enclint.subject)
-           view.Pmi_analysis.Enclint.rows)
-    in
-    let db =
-      match Hashtbl.find_opt enclint_db_seen (Pmi_smt.Sat.id sat) with
-      | Some s when s = retired_sig -> false
-      | _ -> true
-    in
-    if db then
-      Hashtbl.replace enclint_db_seen (Pmi_smt.Sat.id sat) retired_sig;
+    let db = not (Hashtbl.mem enclint_db_seen (Pmi_smt.Sat.id sat)) in
+    if db then Hashtbl.replace enclint_db_seen (Pmi_smt.Sat.id sat) ();
     let diags =
       Obs.span "cegis.enclint.analyze" (fun () ->
           Pmi_analysis.Enclint.analyze ~cone_memo:enclint_cone_memo ~db sat
@@ -350,8 +335,8 @@ let certify_sat config encoding observations model =
   end
 
 (* Every solver verdict the CEGIS loop consumes flows through here, so the
-   findMapping, findOtherMapping and delta paths are all certified when the
-   knob is on. *)
+   findMapping, findOtherMapping and culprit queries are all certified when
+   the knob is on. *)
 let certified_solve config encoding observations ?assumptions ~check () =
   let sat = Encoding.sat encoding in
   Atomic.incr episode_count;
@@ -500,21 +485,23 @@ let sync_lemmas state pool =
   Vec.iter_from state.o_synced (Pmi_smt.Sat.add_clause sat) pool;
   state.o_synced <- Vec.length pool
 
-(* findOtherMapping on a persistent encoding: block_model clauses are only
-   valid for the duration of one call (a candidate that cannot be
+(* findOtherMapping on the persistent encoding: block_model clauses are
+   only valid for the duration of one call (a candidate that cannot be
    distinguished under the current experiment bound must be reconsidered
    once new observations arrive), so each call guards them behind a fresh
    activation literal that is assumed during the call and retired with a
-   unit clause afterwards.  [frozen] are standing assumptions underneath
-   (delta sessions pin their frozen rows and activation literals there). *)
-let search_other_mapping config memo encoding ~specs observations pool ~frozen
-    m1 tried_counter =
+   unit clause afterwards. *)
+let find_other_mapping config memo state specs observations pool m1
+    tried_counter =
+  Obs.span "cegis.find_other_mapping" @@ fun () ->
+  sync_lemmas state pool;
+  let encoding = state.o_encoding in
   (* Gate before the per-call activation variable exists: it would read as
      an allocated-but-unconstrained (dead) variable until first assumed. *)
-  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) ~frozen encoding;
+  enclint_gate config ~lemmas:(fun () -> Vec.to_list pool) encoding;
   let sat = Encoding.sat encoding in
   let act = Pmi_smt.Sat.fresh_var sat in
-  let assumptions = Pmi_smt.Lit.pos act :: frozen in
+  let assumptions = [ Pmi_smt.Lit.pos act ] in
   let retract = Pmi_smt.Lit.neg_of_var act in
   let check = theory_check config memo encoding observations pool in
   let schemes = List.map fst specs in
@@ -551,17 +538,6 @@ let search_other_mapping config memo encoding ~specs observations pool ~frozen
   let result = search config.max_other_candidates in
   (* Retire this call's blocking clauses. *)
   Pmi_smt.Sat.add_clause sat [ retract ];
-  result
-
-let find_other_mapping config memo state specs observations pool m1
-    tried_counter =
-  Obs.span ~args:[ ("mode", Obs.Str "incremental") ] "cegis.find_other_mapping"
-  @@ fun () ->
-  sync_lemmas state pool;
-  let result =
-    search_other_mapping config memo state.o_encoding ~specs observations pool
-      ~frozen:[] m1 tried_counter
-  in
   (* Lemmas the solver added for us during [check] are already in, so
      fast-forward the sync mark. *)
   state.o_synced <- Vec.length pool;
@@ -945,320 +921,3 @@ let infer ?(config = default_config) ?(warm_start = []) ~measure ~specs () =
       | None -> loop (iteration + 1)
   in
   loop 1
-
-(* ------------------------------------------------------------------ *)
-(* Delta mode: online incremental re-inference                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Batch counters of the streaming path: flushes, schemes per flush,
-   retired (changed-scheme) rows, and falls back to full re-inference. *)
-let c_delta_batches = Obs.counter "cegis.delta.batches"
-let c_delta_schemes = Obs.counter "cegis.delta.schemes"
-let c_delta_retired = Obs.counter "cegis.delta.retired_rows"
-let c_delta_fallbacks = Obs.counter "cegis.delta.fallbacks"
-
-type delta_outcome =
-  | Delta_applied of outcome
-  | Delta_fallback of outcome
-
-(* findOtherMapping against a delta encoding: same per-call activation
-   discipline as the batch path, with the session's standing assumptions
-   (frozen-row pins + row activation literals) underneath.  Any second
-   consistent mapping necessarily differs on the delta rows only, so a
-   distinguishing experiment always involves a batch scheme. *)
-let find_other_mapping_delta config memo encoding observations pool
-    base_assumptions m1 tried_counter =
-  Obs.span ~args:[ ("mode", Obs.Str "delta") ] "cegis.find_other_mapping"
-  @@ fun () ->
-  search_other_mapping config memo encoding
-    ~specs:(Encoding.schemes encoding) observations pool
-    ~frozen:base_assumptions m1 tried_counter
-
-(* The delta-scoped convergence sweep: the canonical flooding experiments
-   restricted to pairs that involve at least one batch scheme — the
-   frozen×frozen pairs were already validated when the base mapping was
-   accepted, so re-measuring them would defeat the latency story. *)
-let validation_experiments_delta specs batch_schemes =
-  let in_batch s = List.exists (Scheme.equal s) batch_schemes in
-  validation_experiments specs
-  |> List.filter (fun e -> List.exists in_batch (Experiment.schemes e))
-
-module Delta = struct
-  type session = {
-    d_config : config;
-    d_measure : Experiment.t -> Rat.t;
-    d_measure_batch : Experiment.t list -> Rat.t list;
-    mutable d_encoding : Encoding.t;
-    mutable d_mapping : Mapping.t;
-    mutable d_observations : observation Vec.t;
-    mutable d_pool : Pmi_smt.Lit.t list Vec.t;
-    mutable d_pending : (Scheme.t * Encoding.instr_spec) list; (* newest first *)
-    mutable d_batches : int;
-    mutable d_fallbacks : int;
-  }
-
-  let reject_improper = function
-    | Encoding.Proper _ -> ()
-    | Encoding.Improper _ ->
-      invalid_arg
-        "Cegis.Delta: improper (store-blocker) schemes are not streamable; \
-         run full re-inference"
-
-  (* Delta encodings always disable symmetry breaking: the frozen rows are
-     pinned to the accepted mapping as-is, which need not be the
-     lex-minimal column representative, so the lex clauses could wrongly
-     refute it.  The pins break the port symmetry far more strongly than
-     the lex ordering anyway. *)
-  let build_encoding config specs =
-    let encoding =
-      Encoding.create ~num_ports:config.num_ports ~symmetry_breaking:false
-        ~certify:config.certify []
-    in
-    List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) specs;
-    encoding
-
-  let start ?(config = default_config) ~measure ?measure_batch ~mapping
-      ~specs ?(observations = []) () =
-    List.iter (fun (_, spec) -> reject_improper spec) specs;
-    List.iter
-      (fun (s, _) ->
-         if Mapping.find_opt mapping s = None then
-           invalid_arg "Cegis.Delta.start: mapping does not cover the specs")
-      specs;
-    let obs = Vec.create () in
-    List.iter (Vec.push obs) observations;
-    { d_config = config;
-      d_measure = measure;
-      d_measure_batch =
-        (match measure_batch with
-         | Some f -> f
-         | None -> fun es -> List.map measure es);
-      d_encoding = build_encoding config specs;
-      d_mapping = mapping;
-      d_observations = obs;
-      d_pool = Vec.create ();
-      d_pending = [];
-      d_batches = 0;
-      d_fallbacks = 0 }
-
-  let enqueue session scheme spec =
-    reject_improper spec;
-    (* Last enqueue wins when a scheme is queued twice before a flush. *)
-    session.d_pending <-
-      (scheme, spec)
-      :: List.filter
-           (fun (s, _) -> not (Scheme.equal s scheme))
-           session.d_pending
-
-  let pending session = List.length session.d_pending
-  let mapping session = session.d_mapping
-  let batches session = session.d_batches
-  let fallbacks session = session.d_fallbacks
-
-  let empty_stats session =
-    { iterations = 0;
-      observations = Vec.to_list session.d_observations;
-      candidates_tried = 0;
-      theory_lemmas = Vec.length session.d_pool;
-      sat_episodes = 0;
-      sat = Pmi_smt.Sat.stats (Encoding.sat session.d_encoding) }
-
-  let flush session =
-    match List.rev session.d_pending with
-    | [] -> Delta_applied (Converged (session.d_mapping, empty_stats session))
-    | batch ->
-      session.d_pending <- [];
-      let config = session.d_config in
-      let episodes_before = Atomic.get episode_count in
-      Obs.span
-        ~args:[ ("batch", Obs.Int (List.length batch)) ]
-        "cegis.delta"
-      @@ fun () ->
-      session.d_batches <- session.d_batches + 1;
-      Obs.incr c_delta_batches;
-      Obs.add c_delta_schemes (List.length batch);
-      let encoding = session.d_encoding in
-      let batch_schemes = List.map fst batch in
-      (* Retire the stale rows of changed schemes — one unit clause each,
-         which also deactivates every lemma scoped to them — and drop the
-         observations that mention a changed scheme: the measurements that
-         motivated the change are presumed stale too.  The accepted mapping
-         sheds {e every} batch scheme, changed or merely over-covered by the
-         seed mapping, so no freshly appended row can be frozen to a stale
-         port usage. *)
-      let in_batch s = List.exists (Scheme.equal s) batch_schemes in
-      let changed =
-        List.filter (fun s -> Encoding.has_scheme encoding s) batch_schemes
-      in
-      List.iter
-        (fun s ->
-           Encoding.retire_row encoding s;
-           Obs.incr c_delta_retired)
-        changed;
-      if changed <> [] then begin
-        let keep = Vec.create () in
-        Race.touch_write obs_loc;
-        Vec.iter
-          (fun o ->
-             let stale =
-               List.exists
-                 (fun s -> List.exists (Scheme.equal s) changed)
-                 (Experiment.schemes o.experiment)
-             in
-             if not stale then Vec.push keep o)
-          session.d_observations;
-        session.d_observations <- keep
-      end;
-      if List.exists in_batch (Mapping.schemes session.d_mapping) then begin
-        let m = Mapping.create ~num_ports:config.num_ports in
-        List.iter
-          (fun s ->
-             if not (in_batch s) then
-               Mapping.set m s (Mapping.usage session.d_mapping s))
-          (Mapping.schemes session.d_mapping);
-        session.d_mapping <- m
-      end;
-      List.iter (fun (s, spec) -> Encoding.append_row encoding s spec) batch;
-      (* One batched harness sweep over every queued scheme's singleton
-         before the solver episode starts, so measurement round-trips
-         amortise across the batch. *)
-      let singletons = List.map Experiment.singleton batch_schemes in
-      let sweep_cycles =
-        Obs.span
-          ~args:[ ("experiments", Obs.Int (List.length singletons)) ]
-          "cegis.delta.sweep"
-          (fun () -> session.d_measure_batch singletons)
-      in
-      Race.touch_write obs_loc;
-      List.iter2
-        (fun experiment cycles ->
-           Obs.incr c_observations;
-           Vec.push session.d_observations { experiment; cycles })
-        singletons sweep_cycles;
-      (* Standing assumptions of every solve in this flush: activation
-         literals of all live rows plus the frozen-row pins.  The batch
-         rows are live but unmapped, so only their activation literals
-         appear — their port sets are exactly what the solve determines. *)
-      let assumptions =
-        Encoding.row_assumptions encoding
-        @ Encoding.freeze_lits encoding session.d_mapping
-      in
-      let tried = ref 0 in
-      let memo = Vec.create () in
-      let finish iterations =
-        { iterations;
-          observations = Vec.to_list session.d_observations;
-          candidates_tried = !tried;
-          theory_lemmas = Vec.length session.d_pool;
-          sat_episodes = Atomic.get episode_count - episodes_before;
-          sat = Pmi_smt.Sat.stats (Encoding.sat encoding) }
-      in
-      let observe experiment =
-        let cycles =
-          Obs.span "cegis.observe" (fun () -> session.d_measure experiment)
-        in
-        Obs.incr c_observations;
-        let obs = { experiment; cycles } in
-        Race.touch_write obs_loc;
-        Vec.push session.d_observations obs;
-        obs
-      in
-      let find_mapping_assumed () =
-        Obs.span "cegis.find_mapping" (fun () ->
-            enclint_gate config
-              ~lemmas:(fun () -> Vec.to_list session.d_pool)
-              ~frozen:assumptions encoding;
-            let check =
-              theory_check config memo encoding session.d_observations
-                session.d_pool
-            in
-            match
-              certified_solve config encoding session.d_observations
-                ~assumptions ~check ()
-            with
-            | Solver.Sat model -> Some (Encoding.decode encoding model)
-            | Solver.Unsat -> None)
-      in
-      let sweep =
-        Array.of_list
-          (validation_experiments_delta (Encoding.schemes encoding)
-             batch_schemes)
-      in
-      (* Falling back: the delta solver proved the batch inconsistent with
-         the frozen rows (or a validation failure drove it there), so the
-         whole live spec set is re-inferred from scratch and the session
-         is rebuilt around the accepted result.  If even the full
-         inference fails, the session keeps its pre-flush mapping and the
-         batch rows stay live but unaccepted. *)
-      let fallback () =
-        session.d_fallbacks <- session.d_fallbacks + 1;
-        Obs.incr c_delta_fallbacks;
-        let specs = Encoding.schemes encoding in
-        Log.info (fun m ->
-            m "delta batch inconsistent with frozen rows; full re-inference \
-               over %d schemes" (List.length specs));
-        let outcome = infer ~config ~measure:session.d_measure ~specs () in
-        (match outcome with
-         | Converged (m, stats) ->
-           session.d_encoding <- build_encoding config specs;
-           session.d_mapping <- m;
-           let obs = Vec.create () in
-           List.iter (Vec.push obs) stats.observations;
-           session.d_observations <- obs;
-           session.d_pool <- Vec.create ()
-         | No_consistent_mapping _ | Iteration_limit _ -> ());
-        Delta_fallback outcome
-      in
-      let step iteration =
-        Obs.span
-          ~args:[ ("iteration", Obs.Int iteration) ]
-          "cegis.delta.iteration"
-          (fun () ->
-             match find_mapping_assumed () with
-             | None -> `Fallback
-             | Some m1 ->
-               (match
-                  find_other_mapping_delta config memo encoding
-                    session.d_observations session.d_pool assumptions m1
-                    tried
-                with
-                | None ->
-                  (match
-                     validate config ~measure:session.d_measure
-                       ~schemes:(List.map fst (Encoding.schemes encoding))
-                       session.d_observations sweep m1
-                   with
-                   | None -> `Converged m1
-                   | Some failure ->
-                     Log.info (fun m ->
-                         m "delta iteration %d: validation experiment %s \
-                            refutes the converged mapping" iteration
-                           (Experiment.to_string failure));
-                     ignore (observe failure);
-                     `Continue)
-                | Some (_, new_exp) ->
-                  ignore (observe new_exp);
-                  `Continue))
-      in
-      let rec loop iteration =
-        if iteration > config.max_iterations then
-          Delta_applied (Iteration_limit (finish (iteration - 1)))
-        else
-          match step iteration with
-          | `Converged m1 ->
-            session.d_mapping <- m1;
-            Delta_applied (Converged (m1, finish iteration))
-          | `Continue -> loop (iteration + 1)
-          | `Fallback -> fallback ()
-      in
-      loop 1
-end
-
-let infer_delta ?config ~measure ?measure_batch ~mapping ~specs
-    ?observations ~updates () =
-  let session =
-    Delta.start ?config ~measure ?measure_batch ~mapping ~specs
-      ?observations ()
-  in
-  List.iter (fun (s, spec) -> Delta.enqueue session s spec) updates;
-  Delta.flush session

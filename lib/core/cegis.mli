@@ -55,12 +55,13 @@ type config = {
                                    ({!Pmi_analysis.Enclint.analyze}) over
                                    each encoding once per solver episode —
                                    before every [findMapping] /
-                                   [findOtherMapping] / delta-flush solve.
-                                   Structural checks (guards, duplicates,
-                                   retired-row reachability) re-run each
-                                   episode; the exhaustive
-                                   cardinality-cone verification is paid
-                                   once per solver instance.  Any
+                                   [findOtherMapping] solve and every
+                                   culprit query.  The view-layer checks
+                                   (guards, cardinality cones, lemmas)
+                                   re-run each episode; the clause-database
+                                   passes run once per solver instance,
+                                   and a clean cardinality cone is
+                                   enumerated once per network shape.  Any
                                    [Error]-severity finding raises
                                    {!Enclint_failure}; findings are also
                                    logged and tallied under the
@@ -90,8 +91,8 @@ exception Certification_failure of string
 
 exception Enclint_failure of string
 (** The static analyzer found an [Error]-severity defect in an encoding
-    (wrong cardinality bound, missing guard literal, reachable retired
-    row, …) before the solver ran on it.  Solver verdicts on such an
+    (wrong cardinality bound, missing guard literal, unguarded row in a
+    guarded encoding, …) before the solver ran on it.  Solver verdicts on such an
     encoding cannot be trusted, so the episode is aborted.  Only raised
     with [config.enclint] on. *)
 
@@ -110,8 +111,10 @@ type stats = {
   theory_lemmas : int;
   sat_episodes : int;               (** solver episodes this run paid for —
                                         every [findMapping] /
-                                        [findOtherMapping] / delta-flush
-                                        solve, certified or not *)
+                                        [findOtherMapping] solve, certified
+                                        or not (culprit queries are counted
+                                        process-wide, under
+                                        [cegis.sat_episodes]) *)
   sat : Pmi_smt.Sat.stats;          (** aggregated solver counters across
                                         the [findMapping] and
                                         [findOtherMapping] encodings *)
@@ -209,99 +212,3 @@ module Culprit : sig
       bracket, and every assignment the lemma blocks violates the
       observation. *)
 end
-
-(** {1 Online incremental re-inference (delta mode)} *)
-
-type delta_outcome =
-  | Delta_applied of outcome
-      (** the batch was solved against the frozen rows; [Converged] carries
-          the updated full mapping *)
-  | Delta_fallback of outcome
-      (** the delta solver proved the batch inconsistent with the frozen
-          rows, so a full re-inference over every live scheme ran instead;
-          the outcome is that full run's *)
-
-(** A long-lived delta-CEGIS session over a streaming catalog.
-
-    [start] builds one persistent encoding in which {e every} port-set row
-    is guarded by an activation literal ({!Encoding.append_row}), seeded
-    from a previously accepted mapping.  New or changed schemes are
-    [enqueue]d and batched; [flush] runs one solver episode for the whole
-    batch: changed schemes' stale rows are retired with a unit clause
-    (which also deactivates the theory lemmas scoped to them) and their
-    observations dropped, fresh rows are appended, all pending singletons
-    are measured in one batched sweep ([measure_batch], by default
-    point-wise [measure]; pass {!Pmi_measure.Harness.sweep} to amortise
-    harness round-trips), and the CEGIS loop then runs with the frozen
-    rows pinned through solver {e assumptions}
-    ({!Encoding.freeze_lits} + {!Encoding.row_assumptions}) — prior
-    observations, learnt clauses, and theory lemmas all stay alive, and
-    only the batch rows' port sets are actually open.  Under
-    [config.certify] every delta verdict is certified exactly like the
-    batch path: UNSAT answers must re-derive the negated assumption goal
-    as RUP through the independent DRAT checker, SAT models replay against
-    the CNF and the exact oracle.
-
-    If the delta solve proves the batch inconsistent with the frozen rows,
-    [flush] automatically falls back to a full re-inference over all live
-    schemes and, on convergence, rebuilds the session around the new
-    mapping ([Delta_fallback]).
-
-    Sessions reject [Improper] (store-blocker) specs: their selector
-    machinery does not compose with dynamic row sets, so such schemes take
-    the full re-inference path.  Symmetry breaking is always off in the
-    session encoding — an externally supplied frozen mapping need not be
-    the lex-minimal column representative. *)
-module Delta : sig
-  type session
-
-  val start :
-    ?config:config ->
-    measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->
-    ?measure_batch:
-      (Pmi_portmap.Experiment.t list -> Pmi_numeric.Rat.t list) ->
-    mapping:Pmi_portmap.Mapping.t ->
-    specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
-    ?observations:observation list ->
-    unit ->
-    session
-  (** [mapping] must cover every scheme in [specs] (it is the accepted
-      result of a prior inference over them); [observations] seeds the
-      session's experiment set, typically the final stats of that run.
-      @raise Invalid_argument on an [Improper] spec or an uncovered
-      scheme. *)
-
-  val enqueue : session -> Pmi_isa.Scheme.t -> Encoding.instr_spec -> unit
-  (** Queue a new or changed scheme for the next [flush].  Re-enqueueing a
-      scheme already pending replaces its spec (last write wins).
-      @raise Invalid_argument on an [Improper] spec. *)
-
-  val pending : session -> int
-  val mapping : session -> Pmi_portmap.Mapping.t
-  (** The currently accepted mapping over all live schemes. *)
-
-  val batches : session -> int
-  (** Non-empty flushes completed so far. *)
-
-  val fallbacks : session -> int
-  (** Flushes that fell back to full re-inference. *)
-
-  val flush : session -> delta_outcome
-  (** Run one solver episode over every pending scheme (no-op
-      [Delta_applied (Converged _)] when nothing is pending).  On
-      [Converged] the session's mapping is updated; on fallback
-      convergence the session is rebuilt around the full result; on any
-      failure outcome the session keeps its pre-flush mapping. *)
-end
-
-val infer_delta :
-  ?config:config ->
-  measure:(Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t) ->
-  ?measure_batch:(Pmi_portmap.Experiment.t list -> Pmi_numeric.Rat.t list) ->
-  mapping:Pmi_portmap.Mapping.t ->
-  specs:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
-  ?observations:observation list ->
-  updates:(Pmi_isa.Scheme.t * Encoding.instr_spec) list ->
-  unit ->
-  delta_outcome
-(** One-shot convenience: [Delta.start], enqueue every update, [flush]. *)

@@ -14,7 +14,6 @@ type row = {
   shared : int array;          (* improper only: shared µop variables *)
   selectors : int array;       (* improper only: one per proper instr *)
   act : int;                   (* activation variable; -1 = unguarded *)
-  mutable live : bool;         (* false once the row has been retired *)
   mutable active : bool;       (* in force for the next solve ({!activate}) *)
   mutable networks : (int * Card.network) list;
                                (* (declared bound, recorded network) of
@@ -25,24 +24,16 @@ type row = {
 type t = {
   solver : Sat.t;
   num_ports : int;
-  mutable rows : row array;
+  rows : row array;
 }
 
 let sat t = t.solver
 let num_ports t = t.num_ports
 
-(* Every observable view of the encoding ranges over the live, active rows
-   only: a retired row's variables stay in the solver (its guarded clauses
-   are inert once the activation literal is unit-negated) but it no longer
-   takes part in decode/freeze/lemma construction, and a row left out of
-   the current {!activate} set is assumed off for the next solve. *)
-let live_rows t =
-  Array.to_list t.rows |> List.filter (fun r -> r.live && r.active)
-
-let schemes t = List.map (fun r -> (r.scheme, r.spec)) (live_rows t)
-
-let has_scheme t scheme =
-  List.exists (fun r -> Scheme.equal r.scheme scheme) (live_rows t)
+(* Every observable view of the encoding ranges over the active rows only:
+   a row left out of the current {!activate} set is assumed off for the
+   next solve and takes no part in decode/lemma construction. *)
+let active_rows t = Array.to_list t.rows |> List.filter (fun r -> r.active)
 
 let check_count num_ports c =
   if c < 1 || c > num_ports then
@@ -93,7 +84,7 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false)
             name_row "own" scheme own;
             let act = if guarded then fresh_activation solver scheme else -1 in
             { scheme; spec; own; shared = [||]; selectors = [||];
-              act; live = true; active = true; networks = [] })
+              act; active = true; networks = [] })
          specs)
   in
   (* Cardinality of every own µop. *)
@@ -220,78 +211,17 @@ let create ~num_ports ?(symmetry_breaking = true) ?(certify = false)
   end;
   t
 
-(* ------------------------------------------------------------------ *)
-(* Delta rows: guarded append and activation-literal retirement        *)
-(* ------------------------------------------------------------------ *)
-
-let append_row t scheme spec =
-  let count =
-    match spec with
-    | Proper c -> c
-    | Improper _ ->
-      (* Improper rows need the selector machinery over a partner set that
-         would itself have to follow appends/retirements; delta sessions
-         route store-blocker changes through full re-inference instead. *)
-      invalid_arg "Encoding.append_row: improper rows are not appendable"
-  in
-  check_count t.num_ports count;
-  if has_scheme t scheme then
-    invalid_arg "Encoding.append_row: scheme already has a live row";
-  let own = Array.init t.num_ports (fun _ -> Sat.fresh_var t.solver) in
-  Array.iteri
-    (fun k v ->
-       Sat.name_var t.solver v
-         (Printf.sprintf "own(%s,p%d)" (Scheme.name scheme) k))
-    own;
-  let act = fresh_activation t.solver scheme in
-  (* The cardinality chain binds only while [act] is assumed: retiring the
-     row is one unit clause, no encoding rebuild. *)
-  let net =
-    Card.exactly ~guard:(Lit.neg_of_var act) t.solver
-      (Array.to_list (Array.map Lit.pos own))
-      count
-  in
-  let row =
-    { scheme; spec; own; shared = [||]; selectors = [||]; act; live = true;
-      active = true; networks = [ (count, net) ] }
-  in
-  t.rows <- Array.append t.rows [| row |]
-
-let retire_row t scheme =
-  match
-    List.find_opt
-      (fun r -> r.live && Scheme.equal r.scheme scheme)
-      (Array.to_list t.rows)
-  with
-  | None -> invalid_arg "Encoding.retire_row: no live row for scheme"
-  | Some row ->
-    if row.act < 0 then
-      invalid_arg "Encoding.retire_row: row has no activation literal";
-    (* Dropping the activation literal permanently deactivates the row's
-       cardinality chain and every lemma that mentions the row (lemmas are
-       guarded by the activation literals of the rows they touch). *)
-    Sat.add_clause t.solver [ Lit.neg_of_var row.act ];
-    row.live <- false
-
-let row_assumptions t =
-  List.filter_map
-    (fun r -> if r.act >= 0 then Some (Lit.pos r.act) else None)
-    (live_rows t)
-
 let activate t schemes =
   List.iter
     (fun s ->
-       if not (Array.exists (fun r -> r.live && Scheme.equal r.scheme s) t.rows)
-       then invalid_arg "Encoding.activate: no live row for scheme")
+       if not (Array.exists (fun r -> Scheme.equal r.scheme s) t.rows)
+       then invalid_arg "Encoding.activate: no row for scheme")
     schemes;
   Array.to_list t.rows
-  |> List.filter_map (fun r ->
-      if not r.live then None
-      else begin
-        if r.act < 0 then invalid_arg "Encoding.activate: unguarded row";
-        r.active <- List.exists (Scheme.equal r.scheme) schemes;
-        Some (if r.active then Lit.pos r.act else Lit.neg_of_var r.act)
-      end)
+  |> List.map (fun r ->
+      if r.act < 0 then invalid_arg "Encoding.activate: unguarded row";
+      r.active <- List.exists (Scheme.equal r.scheme) schemes;
+      if r.active then Lit.pos r.act else Lit.neg_of_var r.act)
 
 let ports_of_row model vars =
   let ports = ref Portset.empty in
@@ -309,7 +239,7 @@ let decode t model =
          | Improper _ -> [ (own, 1); (ports_of_row model row.shared, 1) ]
        in
        Mapping.set mapping row.scheme usage)
-    (live_rows t);
+    (active_rows t);
   mapping
 
 let pin_row lits row usage =
@@ -347,17 +277,7 @@ let encode_mapping t mapping =
          | None -> invalid_arg "Encoding.encode_mapping: scheme not mapped"
        in
        pin_row lits row usage)
-    (live_rows t);
-  !lits
-
-let freeze_lits t mapping =
-  let lits = ref [] in
-  List.iter
-    (fun row ->
-       match Mapping.find_opt mapping row.scheme with
-       | Some usage -> pin_row lits row usage
-       | None -> ())
-    (live_rows t);
+    (active_rows t);
   !lits
 
 (* A µop slot of a row: its own µop, or the shared µop of an improper
@@ -373,7 +293,7 @@ let footprint t schemes =
          | Proper _ -> [ { s_row = row; s_shared = false } ]
          | Improper _ ->
            [ { s_row = row; s_shared = false }; { s_row = row; s_shared = true } ])
-    (live_rows t)
+    (active_rows t)
 
 let slot_scheme slot = slot.s_row.scheme
 
@@ -392,9 +312,9 @@ let block_slots model slots =
   ignore
     (List.fold_left
        (fun previous slot ->
-          (* Guarded rows scope the lemma to their own lifetime: once the
-             row is retired (act unit-negated) the clause is satisfied and
-             inert, exactly like the cardinality chain it refutes. *)
+          (* Guarded rows scope the lemma to the queries that activate
+             them: with act assumed false the clause is satisfied, exactly
+             like the cardinality chain it refutes. *)
           let same_row =
             match previous with Some row -> row == slot.s_row | None -> false
           in
@@ -408,7 +328,7 @@ let block_slots model slots =
 let block_footprint t model schemes = block_slots model (footprint t schemes)
 
 let block_model t model =
-  block_footprint t model (List.map (fun r -> r.scheme) (live_rows t))
+  block_footprint t model (List.map (fun r -> r.scheme) (active_rows t))
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis support (EncLint)                                   *)
@@ -420,11 +340,7 @@ let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
     Array.to_list t.rows
     |> List.map (fun r ->
         { E.subject = Printf.sprintf "row %s" (Scheme.name r.scheme);
-          vars =
-            Array.to_list r.own @ Array.to_list r.shared
-            @ Array.to_list r.selectors;
           act = r.act;
-          live = r.live;
           networks = r.networks })
   in
   let accepted =
@@ -433,6 +349,6 @@ let enclint_view ?(lemmas = []) ?(frozen = []) ?accepted t =
     | Some mapping ->
       List.map
         (fun l -> (Lit.var l, Lit.is_pos l))
-        (freeze_lits t mapping)
+        (encode_mapping t mapping)
   in
   { E.rows; lemmas; frozen; accepted }

@@ -19,18 +19,11 @@
     has such a representative, so no behaviour is lost, while the SAT search
     stops enumerating port renamings of the same mapping.
 
-    {b Delta rows.}  Rows may also be appended after creation
-    ({!append_row}): such rows are {e guarded} — their cardinality chain is
-    conditional on a fresh activation variable, and every lemma built by
-    {!block_footprint} that mentions them carries the negated activation
-    literal.  Assume {!row_assumptions} on each solve to activate them;
-    {!retire_row} permanently drops a row (and every lemma scoped to it)
-    with a single unit clause, no rebuild.  This is the encoding half of
-    the incremental re-inference mode ({!Pmi_core.Cegis.Delta}).
-
     {b Guarded encodings.}  Built with [~guarded:true], every row carries
-    an activation variable from the start, and {!activate} chooses the
-    rows in force for the next solve.  An active improper row may select
+    an activation variable: its cardinality networks are conditional on
+    it, and every lemma built by {!block_footprint} that mentions the row
+    carries the negated activation literal.  {!activate} chooses the rows
+    in force for the next solve.  An active improper row may select
     only an active partner ([¬act_i ∨ ¬select(i,j) ∨ act_j]), so one
     encoding answers queries over any subset of its rows exactly as a
     fresh encoding over that subset would.  This is the encoding half of
@@ -64,55 +57,23 @@ val create :
 val sat : t -> Pmi_smt.Sat.t
 val num_ports : t -> int
 
-val schemes : t -> (Pmi_isa.Scheme.t * instr_spec) list
-(** The live rows, in row order (retired rows, and rows left out of the
-    last {!activate}, are excluded everywhere). *)
-
-val has_scheme : t -> Pmi_isa.Scheme.t -> bool
-(** Is there a live row for the scheme? *)
-
-val append_row : t -> Pmi_isa.Scheme.t -> instr_spec -> unit
-(** Append a guarded row: fresh named µop variables plus a fresh activation
-    variable [act(<scheme>)] whose negation guards the cardinality chain.
-    The row only binds while its activation literal ({!row_assumptions}) is
-    assumed true.
-    @raise Invalid_argument on an [Improper] spec (store blockers need the
-    selector machinery and go through full re-inference), an out-of-range
-    port count, or a scheme that already has a live row. *)
-
-val retire_row : t -> Pmi_isa.Scheme.t -> unit
-(** Permanently drop a guarded row by unit-negating its activation literal:
-    its cardinality chain and every lemma mentioning it become inert, and
-    the row disappears from {!schemes}/{!decode}/lemma construction.  The variables stay in the solver.
-    @raise Invalid_argument if the scheme has no live row or the row is an
-    unguarded creation-time row. *)
-
-val row_assumptions : t -> Pmi_smt.Lit.t list
-(** The positive activation literals of every live guarded row — assume
-    these on each solve of a delta-mode encoding. *)
-
 val activate : t -> Pmi_isa.Scheme.t list -> Pmi_smt.Lit.t list
 (** Put exactly the rows of the given schemes in force: later views
-    ({!schemes}, {!decode}, lemma construction) range over them only.
-    Returns the assumptions for the next solve: the positive activation
-    literal of every active row, the negative one of every other live row.
-    @raise Invalid_argument on a scheme without a live row, or on an
-    encoding with unguarded rows. *)
+    ({!decode}, {!encode_mapping}, lemma construction) range over them
+    only.  Returns the assumptions for the next solve: the positive
+    activation literal of every active row, the negative one of every
+    other row.
+    @raise Invalid_argument on a scheme without a row, or on an encoding
+    with unguarded rows. *)
 
 val decode : t -> bool array -> Pmi_portmap.Mapping.t
 (** Read a port mapping out of a SAT model. *)
 
 val encode_mapping : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
 (** Literals asserting that the µop variables take exactly the port sets of
-    the given mapping (used to hard-wire [M₁] in [findOtherMapping]).
+    the given mapping (the accepted assignment of {!enclint_view}).
     @raise Invalid_argument if the mapping lacks one of the schemes or has
     an incompatible µop structure. *)
-
-val freeze_lits : t -> Pmi_portmap.Mapping.t -> Pmi_smt.Lit.t list
-(** Like {!encode_mapping}, but rows whose scheme the mapping does not
-    cover are simply left free — the delta-mode assumption set pinning the
-    previously accepted rows while the freshly appended ones are solved.
-    @raise Invalid_argument on an incompatible µop structure. *)
 
 val block_footprint :
   t -> bool array -> Pmi_isa.Scheme.t list -> Pmi_smt.Lit.t list
@@ -120,8 +81,7 @@ val block_footprint :
     all µop variables of the given schemes — the CEGAR learning step: a
     violated experiment refutes exactly the port sets of the schemes it
     contains.  Guarded rows contribute their negated activation literal,
-    scoping the lemma to the rows' lifetimes: retiring any mentioned row
-    satisfies (and thereby retires) the lemma. *)
+    scoping the lemma to the queries that activate every mentioned row. *)
 
 val block_model : t -> bool array -> Pmi_smt.Lit.t list
 (** [block_footprint] over all schemes. *)
@@ -159,7 +119,7 @@ val enclint_view :
   t ->
   Pmi_analysis.Enclint.view
 (** Describe the encoding to the static analyzer: every row with its
-    activation literal, liveness, and recorded cardinality networks.
-    [?lemmas] are the theory lemmas asserted
-    so far, [?frozen] the delta-mode assumption literals, [?accepted] a
-    mapping whose pinned assignment lemmas are vetted against. *)
+    activation literal and recorded cardinality networks.  [?lemmas] are
+    the theory lemmas asserted so far, [?frozen] the standing assumption
+    literals (the ones {!activate} returned), [?accepted] a mapping whose
+    pinned assignment ({!encode_mapping}) lemmas are vetted against. *)

@@ -16,8 +16,6 @@ let c_mem_hits = Obs.counter "harness.cache.mem.hit"
 let c_mem_misses = Obs.counter "harness.cache.mem.miss"
 let c_store_hits = Obs.counter "harness.cache.store.hit"
 let c_store_misses = Obs.counter "harness.cache.store.miss"
-let c_sweeps = Obs.counter "harness.sweeps"
-let c_sweep_exps = Obs.counter "harness.sweep.experiments"
 
 type sample = {
   cycles : Rat.t;
@@ -194,21 +192,6 @@ let run t experiment =
               sample))
 
 let cycles t experiment = (run t experiment).cycles
-
-(* One batched measurement pass: a delta-mode CEGIS flush queues many
-   pending schemes and sweeps all their experiments here before the solver
-   episode starts, so harness round-trips amortise across the batch (and a
-   trace shows one [harness.sweep] span instead of n scattered measures).
-   Each experiment still goes through [run], so the cache is primed for
-   every later per-experiment query. *)
-let sweep t experiments =
-  let n = List.length experiments in
-  Obs.incr c_sweeps;
-  Obs.add c_sweep_exps n;
-  Obs.span
-    ~args:[ ("experiments", Obs.Int n) ]
-    "harness.sweep"
-    (fun () -> List.map (fun e -> (run t e).cycles) experiments)
 
 let cpi t experiment =
   let len = Experiment.length experiment in

@@ -42,16 +42,6 @@ val store : t -> Pmi_store.Store.t option
 val run : t -> Pmi_portmap.Experiment.t -> sample
 val cycles : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 
-val sweep :
-  t -> Pmi_portmap.Experiment.t list -> Pmi_numeric.Rat.t list
-(** Median cycles of every experiment, measured in one batched pass (one
-    [harness.sweep] telemetry span carrying the batch size; the
-    [harness.sweeps]/[harness.sweep.experiments] counters tally batches).
-    Used by delta-mode CEGIS ({!Pmi_core.Cegis.Delta}) to amortise harness
-    round-trips: all of a flush's pending schemes are measured before the
-    solver episode starts.  The cache is primed as a side effect, so later
-    per-experiment queries hit. *)
-
 val cpi : t -> Pmi_portmap.Experiment.t -> Pmi_numeric.Rat.t
 (** Median cycles divided by experiment length.
     @raise Invalid_argument on an empty experiment. *)

@@ -4,8 +4,8 @@
    The optional [?guard] literal is prepended to every emitted clause, so
    the whole constraint is conditional on the guard: pass [guard = ¬act]
    and the cardinality chain only binds while [act] is assumed true.  The
-   delta-mode encoding uses this to make a row's constraints retirable
-   with one unit clause instead of a rebuild.
+   guarded encoding of the §4.3 culprit session uses this to switch a
+   row's constraints on or off per query instead of rebuilding.
 
    Every constructor returns a [network] record describing exactly what was
    emitted — declared kind/bound, input literals, guard, auxiliary register

@@ -6,8 +6,8 @@
     With [?guard] every emitted clause is prepended with the guard literal,
     making the constraint conditional: pass the negation of an activation
     variable and the chain only binds while that variable is assumed true.
-    Delta-mode encodings ({!Pmi_core.Encoding}) use this to retire a row's
-    cardinality constraints with a single unit clause.
+    Guarded encodings ({!Pmi_core.Encoding}) use this to switch a row's
+    cardinality constraints on or off per solve, through assumptions.
 
     Each constructor returns a {!network} record describing exactly what
     was emitted, so static analysis ({!Pmi_analysis.Enclint}) can re-verify

@@ -1347,9 +1347,10 @@ let to_dimacs ?(learned = false) s buf =
   (* Cross-reference comments: map 1-based DIMACS variable ids back to the
      caller-supplied [Expr]/encoding names, so dumped CNFs and DRAT traces
      can be read against the port-mapping model.  Guard/activation
-     variables (delta-session rows, per-call blocking activations) are
-     tagged, and get a line even without a caller-supplied name — a dumped
-     delta CNF is unreadable without knowing which literals are guards. *)
+     variables (guarded-encoding rows, culprit observation guards, per-call
+     blocking activations) are tagged, and get a line even without a
+     caller-supplied name — a dumped culprit CNF is unreadable without
+     knowing which literals are guards. *)
   if Hashtbl.length s.names > 0 || Hashtbl.length s.guards > 0 then begin
     let entries =
       Hashtbl.fold (fun v name acc -> (v, Some name) :: acc) s.names []

@@ -94,8 +94,9 @@ val root_units : t -> Lit.t list
 (** The decision-level-0 trail: unit-implied and asserted literals. *)
 
 val mark_guard : t -> int -> unit
-(** Declare a variable to be a guard/activation literal (delta-session
-    rows, per-call blocking activations).  {!to_dimacs} annotates it. *)
+(** Declare a variable to be a guard/activation literal (guarded-encoding
+    rows, culprit observation guards, per-call blocking activations).
+    {!to_dimacs} annotates it. *)
 
 val is_guard : t -> int -> bool
 

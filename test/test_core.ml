@@ -176,6 +176,49 @@ let test_filter_candidates_small () =
          c.Blocking.members)
     result.Blocking.classes
 
+let test_table1_full_catalog () =
+  (* Table 1 of EXPERIMENTS.md on the full Zen+ catalog: stage 1 and
+     stage 2 exactly as [Pipeline.run] calls them, on the default noisy
+     machine (seed 42). *)
+  let m = Pmi_machine.Machine.create zen in
+  let h = Pmi_measure.Harness.create m in
+  let r_max = Pmi_machine.Machine.r_max m in
+  let config =
+    { Blocking.default_config with Blocking.r_max; max_ports = r_max - 1 }
+  in
+  let candidates =
+    Array.to_list (Catalog.schemes zen)
+    |> List.filter_map (fun s ->
+        match Blocking.classify_individual ~config h s with
+        | Blocking.Candidate n -> Some (s, n)
+        | Blocking.Hardwired | Blocking.Unreliable | Blocking.Zero_uop
+        | Blocking.Outside_model | Blocking.Multi_uop _ -> None)
+  in
+  let result = Blocking.filter_candidates ~config h candidates in
+  Alcotest.(check (list string)) "Table 1 rows"
+    [ "4 add <GPR[32]>, <GPR[32]> 234";
+      "4 vpor <XMM>, <XMM>, <XMM> 21";
+      "3 vpaddd <XMM>, <XMM>, <XMM> 30";
+      "2 vminps <XMM>, <XMM>, <XMM> 143";
+      "2 vbroadcastss <XMM>, <XMM> 50";
+      "2 vpaddsw <XMM>, <XMM>, <XMM> 17";
+      "2 vaddps <XMM>, <XMM>, <XMM> 10";
+      "2 mov <GPR[32]>, <MEM[32]> 6";
+      "1 vpslld <XMM>, <XMM>, <XMM> 27";
+      "1 vpmuldq <XMM>, <XMM>, <XMM> 10";
+      "1 imul <GPR[32]>, <GPR[32]> 9";
+      "1 vroundps <XMM>, <XMM>, <IMM[8]> 4";
+      "1 vmovd <XMM>, <GPR[32]> 2" ]
+    (List.map
+       (fun c ->
+          Printf.sprintf "%d %s %d" c.Blocking.port_count
+            (Scheme.name c.Blocking.representative)
+            (List.length c.Blocking.members))
+       result.Blocking.classes);
+  Alcotest.(check int) "unstable" 80 (List.length result.Blocking.unstable);
+  Alcotest.(check int) "contradictory" 48
+    (List.length result.Blocking.contradictory)
+
 (* ------------------------------------------------------------------ *)
 (* CEGIS on toy architectures (§3.3, Figure 4)                         *)
 (* ------------------------------------------------------------------ *)
@@ -379,182 +422,6 @@ let test_cegis_many_ports () =
          (Mapping.schemes m))
   | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
-
-(* ------------------------------------------------------------------ *)
-(* Delta mode: online incremental re-inference                         *)
-(* ------------------------------------------------------------------ *)
-
-let delta_toy () =
-  (* 3 ports, 5 single-µop schemes: rich enough that every arrival
-     interacts with several frozen rows. *)
-  let usages =
-    [ [ (Portset.of_list [ 0; 1 ], 1) ];
-      [ (Portset.of_list [ 1; 2 ], 1) ];
-      [ (Portset.singleton 2, 1) ];
-      [ (Portset.of_list [ 0; 2 ], 1) ];
-      [ (Portset.singleton 0, 1) ] ]
-  in
-  let catalog = toy_catalog (List.length usages) in
-  let truth = Mapping.create ~num_ports:3 in
-  List.iteri (fun i u -> Mapping.set truth (Catalog.find catalog i) u) usages;
-  let specs =
-    List.mapi
-      (fun i u ->
-         let ports =
-           List.fold_left (fun a (p, _) -> a + Portset.cardinal p) 0 u
-         in
-         (Catalog.find catalog i, Encoding.Proper ports))
-      usages
-  in
-  (truth, cegis_config 3, specs)
-
-(* Infer a base mapping over all but the last [arrivals] specs, then feed
-   the held-out specs through a delta session one flush at a time, in
-   shuffled (here: reversed) arrival order. *)
-let run_delta_stream ?(certify = false) ~arrivals () =
-  let truth, config, specs = delta_toy () in
-  let config = { config with Cegis.certify } in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let n = List.length specs in
-  let base = List.filteri (fun i _ -> i < n - arrivals) specs in
-  let stream = List.rev (List.filteri (fun i _ -> i >= n - arrivals) specs) in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs:base () with
-    | Cegis.Converged (m, _) -> m
-    | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-      Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs:base () in
-  List.iter
-    (fun (s, spec) ->
-       Cegis.Delta.enqueue session s spec;
-       match Cegis.Delta.flush session with
-       | Cegis.Delta_applied (Cegis.Converged _) -> ()
-       | Cegis.Delta_fallback _ ->
-         Alcotest.failf "unexpected fallback on %s" (Scheme.name s)
-       | Cegis.Delta_applied _ ->
-         Alcotest.failf "delta flush did not converge on %s" (Scheme.name s))
-    stream;
-  Alcotest.(check int) "no fallbacks" 0 (Cegis.Delta.fallbacks session);
-  Alcotest.(check int) "one batch per arrival" arrivals
-    (Cegis.Delta.batches session);
-  (truth, config, Cegis.Delta.mapping session)
-
-let test_delta_matches_full () =
-  (* A shuffled arrival stream must converge to a mapping throughput-
-     equivalent to both the hidden truth and a batch inference over the
-     same final spec set: the delta path changes latency, never answers. *)
-  let truth, config, m_delta = run_delta_stream ~arrivals:2 () in
-  check_equivalent config truth m_delta (Mapping.schemes truth);
-  let _, _, specs = delta_toy () in
-  let measure e = Cegis.modeled_inverse config truth e in
-  match Cegis.infer ~config ~measure ~specs () with
-  | Cegis.Converged (m_full, _) ->
-    check_equivalent config m_full m_delta (Mapping.schemes truth)
-  | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-    Alcotest.fail "batch inference did not converge"
-
-let test_delta_certified () =
-  (* Under [certify] every delta verdict carries a checked certificate:
-     assumption-scoped UNSAT answers re-derive through the DRAT checker,
-     SAT models replay against the CNF and the exact oracle.  Any
-     certificate failure raises, so converging at all is the assertion. *)
-  let truth, config, m_delta = run_delta_stream ~certify:true ~arrivals:1 () in
-  check_equivalent config truth m_delta (Mapping.schemes truth)
-
-let test_delta_changed_scheme () =
-  (* The machine changes under the session: iB's usage moves to a
-     different (smaller) port set.  Re-enqueueing iB retires its stale row
-     and observations; the session re-converges on the new truth with iA
-     and iC still frozen. *)
-  let s01 = Portset.of_list [ 0; 1 ] in
-  let s12 = Portset.of_list [ 1; 2 ] in
-  let s2 = Portset.singleton 2 in
-  let catalog = toy_catalog 3 in
-  let scheme i = Catalog.find catalog i in
-  let make usages =
-    let m = Mapping.create ~num_ports:3 in
-    List.iteri (fun i u -> Mapping.set m (scheme i) u) usages;
-    m
-  in
-  let truth1 = make [ [ (s01, 1) ]; [ (s12, 1) ]; [ (s2, 1) ] ] in
-  let truth2 =
-    make [ [ (s01, 1) ]; [ (Portset.singleton 1, 1) ]; [ (s2, 1) ] ]
-  in
-  let config = cegis_config 3 in
-  let current = ref truth1 in
-  let measure e = Cegis.modeled_inverse config !current e in
-  let specs =
-    [ (scheme 0, Encoding.Proper 2); (scheme 1, Encoding.Proper 2);
-      (scheme 2, Encoding.Proper 1) ]
-  in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs () in
-  current := truth2;
-  Cegis.Delta.enqueue session (scheme 1) (Encoding.Proper 1);
-  (match Cegis.Delta.flush session with
-   | Cegis.Delta_applied (Cegis.Converged _) -> ()
-   | Cegis.Delta_fallback _ -> Alcotest.fail "unexpected fallback"
-   | Cegis.Delta_applied _ -> Alcotest.fail "re-inference did not converge");
-  check_equivalent config truth2 (Cegis.Delta.mapping session)
-    (Mapping.schemes truth2)
-
-let test_delta_fallback_on_inconsistency () =
-  (* Measurements no port assignment can explain: iB floods to 1 CPI alone
-     but a mixed experiment with frozen iA measures 3 cycles, far beyond
-     any 2-port schedule.  The delta solve must go UNSAT against the
-     frozen rows and fall back to full re-inference — which is equally
-     unsatisfiable, so the session keeps its pre-flush mapping. *)
-  let catalog = toy_catalog 2 in
-  let ia = Catalog.find catalog 0 and ib = Catalog.find catalog 1 in
-  let truth = Mapping.create ~num_ports:2 in
-  Mapping.set truth ia [ (Portset.of_list [ 0; 1 ], 1) ];
-  let config = cegis_config 2 in
-  let measure e =
-    let has s = List.exists (Scheme.equal s) (Experiment.schemes e) in
-    if has ib && has ia then Rat.of_int 3
-    else if has ib then Rat.one
-    else Cegis.modeled_inverse config truth e
-  in
-  let specs = [ (ia, Encoding.Proper 2) ] in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs () in
-  Cegis.Delta.enqueue session ib (Encoding.Proper 1);
-  (match Cegis.Delta.flush session with
-   | Cegis.Delta_fallback (Cegis.No_consistent_mapping _) -> ()
-   | Cegis.Delta_fallback _ -> Alcotest.fail "fallback unexpectedly converged"
-   | Cegis.Delta_applied _ ->
-     Alcotest.fail "expected a fallback to full re-inference");
-  Alcotest.(check int) "one fallback" 1 (Cegis.Delta.fallbacks session);
-  Alcotest.(check bool) "pre-flush mapping kept" true
-    (Mapping.find_opt (Cegis.Delta.mapping session) ia <> None);
-  Alcotest.(check bool) "failed arrival not accepted" true
-    (Mapping.find_opt (Cegis.Delta.mapping session) ib = None)
-
-let test_delta_rejects_improper () =
-  let truth, config, specs = delta_toy () in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let mapping =
-    match Cegis.infer ~config ~measure ~specs () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference did not converge"
-  in
-  let session = Cegis.Delta.start ~config ~measure ~mapping ~specs () in
-  Alcotest.check_raises "improper enqueue rejected"
-    (Invalid_argument
-       "Cegis.Delta: improper (store-blocker) schemes are not streamable; \
-        run full re-inference")
-    (fun () ->
-       Cegis.Delta.enqueue session (List.hd (List.map fst specs))
-         (Encoding.Improper { own_ports = 1 }))
 
 let test_cegis_parallel_matches_sequential () =
   (* [domains > 1] fans out only the distinguishing-experiment search and
@@ -1149,6 +1016,8 @@ let () =
        [ Alcotest.test_case "individual classification (§4.1)" `Quick
            test_classify_individual;
          Alcotest.test_case "additivity (§3.2)" `Quick test_additivity;
+         Alcotest.test_case "Table 1 on the full catalog" `Quick
+           test_table1_full_catalog;
          Alcotest.test_case "candidate filtering (§4.2)" `Slow
            test_filter_candidates_small ]);
       ("encoding",
@@ -1161,16 +1030,6 @@ let () =
        [ Alcotest.test_case "Figure 4 example" `Quick test_cegis_figure4;
          Alcotest.test_case "disjoint ports" `Quick test_cegis_disjoint;
          Alcotest.test_case "three instructions" `Quick test_cegis_three_instructions;
-         Alcotest.test_case "delta stream matches batch inference" `Quick
-           test_delta_matches_full;
-         Alcotest.test_case "delta under certification" `Slow
-           test_delta_certified;
-         Alcotest.test_case "delta re-infers a changed scheme" `Quick
-           test_delta_changed_scheme;
-         Alcotest.test_case "delta falls back on inconsistency" `Quick
-           test_delta_fallback_on_inconsistency;
-         Alcotest.test_case "delta rejects improper specs" `Quick
-           test_delta_rejects_improper;
          Alcotest.test_case "default path pinned on Figure 4(b)" `Quick
            test_cegis_pinned_figure4b;
          Alcotest.test_case "default path pinned on three ports" `Quick

@@ -1,13 +1,14 @@
 (* EncLint: the solver-off static analyzer over CEGIS encodings.
 
    Three families of tests:
-   - clean built-in encodings (creation-time, delta append/retire) must
-     produce zero findings — no false positives;
+   - clean built-in encodings (creation-time, store-blocker, guarded with
+     a subset of rows activated) must produce zero findings — no false
+     positives;
    - seeded mutations (dropped guard, wrong cardinality bound, unguarded
-     delta row, duplicate clause, reachable retired rows) must each be
-     flagged with the right rule;
-   - full certified CEGIS runs (batch and delta) with the analyzer gating
-     every solver episode must converge. *)
+     row in a guarded encoding, duplicate clause, unused frozen literal)
+     must each be flagged with the right rule;
+   - a full certified CEGIS run with the analyzer gating every solver
+     episode must converge. *)
 
 open Pmi_smt
 module Enclint = Pmi_analysis.Enclint
@@ -65,30 +66,30 @@ let test_clean_improper () =
   check_clean "improper"
     (Enclint.analyze (Encoding.sat encoding) (Encoding.enclint_view encoding))
 
-let delta_encoding () =
-  let catalog = toy_catalog 3 in
-  let encoding = Encoding.create ~num_ports:3 ~symmetry_breaking:false [] in
-  Encoding.append_row encoding (Catalog.find catalog 0) (Encoding.Proper 2);
-  Encoding.append_row encoding (Catalog.find catalog 1) (Encoding.Proper 2);
-  Encoding.append_row encoding (Catalog.find catalog 2) (Encoding.Proper 1);
-  (catalog, encoding)
-
-let test_clean_delta () =
-  let catalog, encoding = delta_encoding () in
-  Encoding.retire_row encoding (Catalog.find catalog 1);
-  Encoding.append_row encoding (Catalog.find catalog 1) (Encoding.Proper 3);
-  check_clean "delta"
+let test_clean_guarded_subset () =
+  (* The culprit session's shape: every row guarded, Proper and Improper
+     rows mixed, a strict subset activated, and the assumptions that
+     [activate] returns frozen for the next solve. *)
+  let catalog = toy_catalog 4 in
+  let scheme = Catalog.find catalog in
+  let encoding =
+    Encoding.create ~num_ports:3 ~guarded:true
+      [ (scheme 0, Encoding.Proper 2);
+        (scheme 1, Encoding.Proper 1);
+        (scheme 2, Encoding.Improper { own_ports = 1 });
+        (scheme 3, Encoding.Proper 3) ]
+  in
+  let frozen = Encoding.activate encoding [ scheme 0; scheme 2 ] in
+  check_clean "guarded subset"
     (Enclint.analyze (Encoding.sat encoding)
-       (Encoding.enclint_view
-          ~frozen:(Encoding.row_assumptions encoding)
-          encoding))
+       (Encoding.enclint_view ~frozen encoding))
 
 (* ------------------------------------------------------------------ *)
 (* Seeded mutations                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let row ?(subject = "row mut") ?(act = -1) ?(live = true) ~vars networks =
-  { Enclint.subject; vars; act; live; networks }
+let row ?(subject = "row mut") ?(act = -1) networks =
+  { Enclint.subject; act; networks }
 
 let view ?(rows = []) () = { Enclint.empty_view with Enclint.rows }
 
@@ -102,7 +103,7 @@ let test_flags_dropped_guard () =
   let vars = List.init 3 (fun _ -> Sat.fresh_var s) in
   let net = Card.exactly s (List.map Lit.pos vars) 1 in
   let diags =
-    Enclint.analyze s (view ~rows:[ row ~act ~vars [ (1, net) ] ] ())
+    Enclint.analyze s (view ~rows:[ row ~act [ (1, net) ] ] ())
   in
   expect_error "missing-guard" diags
 
@@ -122,7 +123,7 @@ let test_flags_dropped_guard_semantic () =
       Card.clauses = List.map (List.filter (fun l -> l <> g)) net.Card.clauses }
   in
   let diags =
-    Enclint.analyze s (view ~rows:[ row ~act ~vars [ (1, forged) ] ] ())
+    Enclint.analyze s (view ~rows:[ row ~act [ (1, forged) ] ] ())
   in
   expect_error "card-guard" diags
 
@@ -134,14 +135,14 @@ let test_flags_wrong_bound () =
   let vars = List.init 4 (fun _ -> Sat.fresh_var s) in
   let net = Card.exactly s (List.map Lit.pos vars) 1 in
   expect_error "bound-mismatch"
-    (Enclint.analyze s (view ~rows:[ row ~vars [ (2, net) ] ] ()));
+    (Enclint.analyze s (view ~rows:[ row [ (2, net) ] ] ()));
   let forged = { net with Card.bound = 2 } in
   expect_error "card-bound"
-    (Enclint.analyze s (view ~rows:[ row ~vars [ (2, forged) ] ] ()))
+    (Enclint.analyze s (view ~rows:[ row [ (2, forged) ] ] ()))
 
 let test_flags_unguarded_row () =
-  (* A live row without an activation literal in an encoding where other
-     rows are guarded can never be retired. *)
+  (* A row without an activation literal in an encoding where other rows
+     are guarded can never be switched off. *)
   let s = Sat.create () in
   let act = Sat.fresh_var s in
   Sat.mark_guard s act;
@@ -154,8 +155,8 @@ let test_flags_unguarded_row () =
     Enclint.analyze s
       (view
          ~rows:
-           [ row ~subject:"guarded" ~act ~vars:vars1 [ (1, net1) ];
-             row ~subject:"unguarded" ~vars:vars2 [ (1, net2) ] ]
+           [ row ~subject:"guarded" ~act [ (1, net1) ];
+             row ~subject:"unguarded" [ (1, net2) ] ]
          ())
   in
   expect_error "unguarded-row" diags
@@ -169,23 +170,6 @@ let test_flags_duplicate_clause () =
   let diags = Enclint.analyze s Enclint.empty_view in
   Alcotest.(check bool) "duplicate flagged" true
     (has_rule "duplicate-clause" diags)
-
-let test_flags_retired_reachable () =
-  (* A retired row whose activation was never unit-negated is still in
-     force, and so is any live clause that mentions its variables. *)
-  let s = Sat.create () in
-  let act = Sat.fresh_var s in
-  Sat.mark_guard s act;
-  let g = Lit.neg_of_var act in
-  let vars = List.init 2 (fun _ -> Sat.fresh_var s) in
-  let net = Card.exactly ~guard:g s (List.map Lit.pos vars) 1 in
-  let outside = Sat.fresh_var s in
-  Sat.add_clause s [ Lit.pos (List.hd vars); Lit.pos outside ];
-  let diags =
-    Enclint.analyze s
-      (view ~rows:[ row ~act ~live:false ~vars [ (1, net) ] ] ())
-  in
-  expect_error "retired-reachable" diags
 
 let test_flags_frozen_unused () =
   let s = Sat.create () in
@@ -239,34 +223,6 @@ let test_cegis_gated_certified () =
   | Cegis.No_consistent_mapping _ -> Alcotest.fail "unexpected UNSAT"
   | Cegis.Iteration_limit _ -> Alcotest.fail "iteration limit"
 
-let test_cegis_gated_delta () =
-  let catalog = toy_catalog 3 in
-  let num_ports = 3 in
-  let truth = Mapping.create ~num_ports in
-  Mapping.set truth (Catalog.find catalog 0)
-    [ (Portset.of_list [ 0; 1 ], 1) ];
-  Mapping.set truth (Catalog.find catalog 1)
-    [ (Portset.of_list [ 1; 2 ], 1) ];
-  Mapping.set truth (Catalog.find catalog 2) [ (Portset.singleton 2, 1) ];
-  let config = { (gated_config num_ports) with Cegis.max_experiment_size = 3 } in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let base =
-    [ (Catalog.find catalog 0, Encoding.Proper 2);
-      (Catalog.find catalog 1, Encoding.Proper 2) ]
-  in
-  let base_mapping =
-    match Cegis.infer ~config ~measure ~specs:base () with
-    | Cegis.Converged (m, _) -> m
-    | _ -> Alcotest.fail "base inference failed"
-  in
-  match
-    Cegis.infer_delta ~config ~measure ~mapping:base_mapping ~specs:base
-      ~updates:[ (Catalog.find catalog 2, Encoding.Proper 1) ]
-      ()
-  with
-  | Cegis.Delta_applied (Cegis.Converged _) -> ()
-  | _ -> Alcotest.fail "gated delta flush failed to converge"
-
 let () =
   Alcotest.run "enclint"
     [ ("clean",
@@ -274,7 +230,8 @@ let () =
            test_clean_creation;
          Alcotest.test_case "improper (store-blocker) encoding" `Quick
            test_clean_improper;
-         Alcotest.test_case "delta append/retire" `Quick test_clean_delta ]);
+         Alcotest.test_case "guarded subset activation" `Quick
+           test_clean_guarded_subset ]);
       ("mutations",
        [ Alcotest.test_case "dropped guard (metadata)" `Quick
            test_flags_dropped_guard;
@@ -282,16 +239,12 @@ let () =
            test_flags_dropped_guard_semantic;
          Alcotest.test_case "wrong cardinality bound" `Quick
            test_flags_wrong_bound;
-         Alcotest.test_case "unguarded delta row" `Quick
+         Alcotest.test_case "unguarded row in a guarded encoding" `Quick
            test_flags_unguarded_row;
          Alcotest.test_case "duplicate clause" `Quick
            test_flags_duplicate_clause;
-         Alcotest.test_case "reachable retired row" `Quick
-           test_flags_retired_reachable;
          Alcotest.test_case "frozen literal unused" `Quick
            test_flags_frozen_unused ]);
       ("cegis-gate",
        [ Alcotest.test_case "certified run with gate" `Quick
-           test_cegis_gated_certified;
-         Alcotest.test_case "gated delta flush" `Quick
-           test_cegis_gated_delta ]) ]
+           test_cegis_gated_certified ]) ]

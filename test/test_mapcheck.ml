@@ -2,8 +2,8 @@
    must be sound (every completion's exact throughput lies in the computed
    interval), exact on determined mappings, loud on seeded corruption, and
    silent on everything the repo ships.  Proof logging is bookkeeping
-   only: a certified CEGIS run, batch or delta, infers exactly the mapping
-   of the uncertified one. *)
+   only: a certified CEGIS run infers exactly the mapping of the
+   uncertified one. *)
 
 open Pmi_isa
 open Pmi_portmap
@@ -284,31 +284,6 @@ let test_cegis_equivalence_certified () =
   Alcotest.(check int) "same SAT episodes" s_off.Cegis.sat_episodes
     s_on.Cegis.sat_episodes
 
-let test_delta_equivalence () =
-  let truth = toy_truth () in
-  let base = [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2) ] in
-  let run certify =
-    let config =
-      { (toy_config ~certify ()) with Cegis.symmetry_breaking = false }
-    in
-    let measure e = Cegis.modeled_inverse config truth e in
-    let base_mapping =
-      match Cegis.infer ~config ~measure ~specs:base () with
-      | Cegis.Converged (m, _) -> m
-      | _ -> Alcotest.fail "delta base inference failed"
-    in
-    match
-      Cegis.infer_delta ~config ~measure ~mapping:base_mapping ~specs:base
-        ~updates:[ (fma, Encoding.Proper 1) ]
-        ()
-    with
-    | Cegis.Delta_applied (Cegis.Converged (m, stats)) -> (m, stats)
-    | _ -> Alcotest.fail "delta flush failed to converge"
-  in
-  let m_off, _ = run false in
-  let m_on, _ = run true in
-  check_same_mapping "delta" m_off m_on
-
 (* ------------------------------------------------------------------ *)
 (* Hardening pins: Mapping_io and Diff                                 *)
 (* ------------------------------------------------------------------ *)
@@ -357,8 +332,7 @@ let () =
          Alcotest.test_case "dominance analysis" `Quick test_dominance ]);
       ("cegis",
        [ Alcotest.test_case "certified run unchanged" `Quick
-           test_cegis_equivalence_certified;
-         Alcotest.test_case "delta equivalence" `Quick test_delta_equivalence ]);
+           test_cegis_equivalence_certified ]);
       ("hardening",
        [ Alcotest.test_case "duplicate scheme row rejected" `Quick
            test_duplicate_row_rejected;

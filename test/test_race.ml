@@ -1,7 +1,7 @@
 (* The concurrency sanitizer: detector soundness on planted races,
    cleanliness of the instrumented primitives under every small schedule
-   permutation, the parallel CEGIS and delta paths, and the shared
-   diagnostics schema.
+   permutation, the parallel CEGIS path, and the shared diagnostics
+   schema.
 
    Every test runs with the detector enabled and (mostly) in deterministic
    replay mode: the pool serializes tasks in seeded permutation order while
@@ -285,47 +285,6 @@ let test_cegis_replay_clean () =
              Alcotest.fail "toy CEGIS did not converge"))
   done
 
-let test_delta_replay_clean () =
-  (* A parallel delta batch: the flush's distinguishing search and
-     validation sweep fan out over the pool while the session mutates the
-     shared observation vector and lemma pool between sweeps — the delta-mode
-     analogue of the plain CEGIS check above, run under deterministic
-     schedule replay. *)
-  let open Pmi_core in
-  let add = Catalog.find toy_catalog 0
-  and mul = Catalog.find toy_catalog 1
-  and fma = Catalog.find toy_catalog 2 in
-  let truth = Pmi_portmap.Mapping.create ~num_ports:3 in
-  let both = Pmi_portmap.Portset.of_list in
-  Pmi_portmap.Mapping.set truth add [ (both [ 0; 1 ], 1) ];
-  Pmi_portmap.Mapping.set truth mul [ (both [ 1; 2 ], 1) ];
-  Pmi_portmap.Mapping.set truth fma [ (Pmi_portmap.Portset.singleton 2, 1) ];
-  let config =
-    { Cegis.default_config with
-      Cegis.num_ports = 3; r_max = 4; max_experiment_size = 3;
-      symmetry_breaking = false; domains = 2 }
-  in
-  let measure e = Cegis.modeled_inverse config truth e in
-  let base = [ (add, Encoding.Proper 2); (mul, Encoding.Proper 2) ] in
-  for seed = 0 to 1 do
-    expect_clean "parallel delta batch"
-      (with_detector ~schedule:seed (fun () ->
-           let mapping =
-             match Cegis.infer ~config ~measure ~specs:base () with
-             | Cegis.Converged (m, _) -> m
-             | Cegis.No_consistent_mapping _ | Cegis.Iteration_limit _ ->
-               Alcotest.fail "base inference did not converge"
-           in
-           match
-             Cegis.infer_delta ~config ~measure ~mapping ~specs:base
-               ~updates:[ (fma, Encoding.Proper 1) ]
-               ()
-           with
-           | Cegis.Delta_applied (Cegis.Converged _) -> ()
-           | Cegis.Delta_applied _ | Cegis.Delta_fallback _ ->
-             Alcotest.fail "delta flush did not converge"))
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Off-mode and the shared diagnostics schema                          *)
 
@@ -403,7 +362,5 @@ let () =
        [ Alcotest.test_case "harness sweep" `Quick
            test_harness_parallel_sweep;
          Alcotest.test_case "parallel CEGIS" `Slow test_cegis_replay_clean;
-         Alcotest.test_case "parallel delta batch" `Slow
-           test_delta_replay_clean;
          Alcotest.test_case "diag schema shared" `Quick
            test_diag_schema_shared ]) ]

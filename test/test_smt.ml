@@ -589,7 +589,7 @@ let prop_card_exactly_counts =
        | Sat.Sat model -> count_true model vars = k
        | Sat.Unsat -> false)
 
-(* Guarded networks (the delta-row contract of [Encoding.append_row]):
+(* Guarded networks (the row contract of a guarded [Encoding]):
    the guard literal is prepended to every emitted clause, so a true
    guard satisfies the whole network vacuously — any input count goes —
    while a false guard leaves exactly the unguarded constraint. *)
