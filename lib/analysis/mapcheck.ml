@@ -34,10 +34,7 @@ type interval = Bounds.interval = {
   hi : Rat.t;
 }
 
-(* [pmi_analysis] sits below [pmi_measure], so the harness tolerance
-   (Harness.Compare.default_epsilon = 0.02) is mirrored here as an exact
-   rational rather than imported. *)
-let default_epsilon = Rat.of_ints 1 50
+let default_epsilon = Pmi_measure.Harness.Compare.default_epsilon
 
 let excludes ~epsilon ~length { lo; hi } value =
   let slack = Rat.mul epsilon (Rat.of_int length) in

@@ -46,9 +46,8 @@ type interval = Pmi_portmap.Oracle.Bounds.interval = {
 }
 
 val default_epsilon : Pmi_numeric.Rat.t
-(** [1/50], mirroring the harness comparison tolerance
-    ([Pmi_measure.Harness.Compare.default_epsilon]); kept here because
-    [pmi_analysis] sits below the measurement layer. *)
+(** The harness comparison tolerance,
+    [Pmi_measure.Harness.Compare.default_epsilon] ([1/50]). *)
 
 val excludes :
   epsilon:Pmi_numeric.Rat.t -> length:int -> interval -> Pmi_numeric.Rat.t ->

@@ -64,7 +64,7 @@ exception Enclint_failure of string
 let default_config =
   { num_ports = 10;
     r_max = 5;
-    epsilon = Rat.of_ints 2 100;
+    epsilon = Pmi_measure.Harness.Compare.default_epsilon;
     max_experiment_size = 5;
     max_other_candidates = 400;
     max_iterations = 400;

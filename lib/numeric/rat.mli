@@ -1,10 +1,18 @@
-(** Exact rational numbers over {!Bigint}.
+(** Exact rational numbers.
 
-    Values are kept in canonical form: the denominator is positive and
-    numerator/denominator are coprime, so structural equality coincides with
-    numeric equality. *)
+    A value whose numerator and denominator both fit a native [int] (other
+    than [min_int]) is stored as that pair of ints; anything larger falls
+    back to a pair of {!Bigint}s.  Either way the form is canonical: the
+    denominator is positive, the terms are coprime, and the native pair is
+    used whenever it fits, so structural equality coincides with numeric
+    equality.
 
-type t = private { num : Bigint.t; den : Bigint.t }
+    [compare], [add], [sub], [mul] and [div] run in native arithmetic while
+    every term is below [2^((Sys.int_size - 2) / 2)] in magnitude (2{^30}
+    on 64-bit OCaml), where no cross-product can overflow, and in
+    {!Bigint} otherwise; the result is exact either way. *)
+
+type t
 
 val zero : t
 val one : t
@@ -46,7 +54,8 @@ val floor : t -> Bigint.t
 val ceil : t -> Bigint.t
 
 val to_float : t -> float
-(** Nearest float; exact for the small values used in this project. *)
+(** [float num /. float den], each term rounded to the nearest float
+    first (exactly as [float_of_string] on its decimal form). *)
 
 val to_string : t -> string
 (** ["n"] for integers, ["n/d"] otherwise. *)

@@ -184,13 +184,137 @@ let prop_rat_order_total =
     QCheck2.Gen.(pair rat_gen rat_gen)
     (fun (a, b) -> Rat.compare a b = Rat.sign (Rat.sub a b))
 
+(* Boundary differential suite.  Terms cluster where the native-int fast
+   path hands over to Bigint: around 2^30 and 2^31 (the cross-product
+   limit on 64-bit ints), 2^53 (exact floats), 2^62 and 2^63 (max_int and
+   min_int), plus small and shared-factor terms so reduction matters.
+   Every operation is checked against a reference computed only in Bigint
+   cross-products. *)
+let pow2 k = Bigint.(mul (of_int (1 lsl (k / 2))) (of_int (1 lsl (k - (k / 2)))))
+
+let term_gen =
+  QCheck2.Gen.(
+    let near =
+      map3
+        (fun anchor delta neg ->
+           let v = Bigint.add anchor (Bigint.of_int delta) in
+           if neg then Bigint.neg v else v)
+        (oneofl
+           [ pow2 30; pow2 31; pow2 53; pow2 62; pow2 63;
+             Bigint.of_int max_int; Bigint.of_int min_int;
+             Bigint.(mul (of_int 6) (pow2 29)); Bigint.(mul (of_int 6) (pow2 60)) ])
+        (int_range (-3) 3) bool
+    in
+    frequency
+      [ (4, near);
+        (2, map Bigint.of_int (int_range (-1000) 1000));
+        (1, map Bigint.of_int int);
+        (1, map2 (fun a b -> Bigint.(mul (of_int a) b)) (int_range (-12) 12) near) ])
+
+let nonzero_term_gen =
+  QCheck2.Gen.map (fun t -> if Bigint.is_zero t then Bigint.one else t) term_gen
+
+(* Magnitudes at or just under 2^30 and 2^31.  On 64-bit ints the fast path
+   takes terms below 2^30, and n1*d2 + n2*d1 overflows once all four terms
+   are near 2^31, so rationals built only from these probe the limit. *)
+let at_limit_gen =
+  QCheck2.Gen.map3
+    (fun k delta neg ->
+       let v = Bigint.sub (pow2 k) (Bigint.of_int delta) in
+       if neg then Bigint.neg v else v)
+    (QCheck2.Gen.int_range 30 31) (QCheck2.Gen.int_range 0 3) QCheck2.Gen.bool
+
+(* Native-int terms: the same clusters, clamped to [min_int, max_int]. *)
+let int_term_gen =
+  QCheck2.Gen.map
+    (fun t ->
+       match Bigint.to_int_opt t with
+       | Some i -> i
+       | None -> if Bigint.sign t > 0 then max_int else min_int)
+    term_gen
+
+(* A reference rational is a canonical Bigint pair. *)
+let ref_make n d =
+  let n, d = if Bigint.sign d < 0 then (Bigint.neg n, Bigint.neg d) else (n, d) in
+  let g = Bigint.gcd n d in
+  (Bigint.div n g, Bigint.div d g)
+
+let ref_add (n1, d1) (n2, d2) =
+  ref_make Bigint.(add (mul n1 d2) (mul n2 d1)) (Bigint.mul d1 d2)
+
+let ref_mul (n1, d1) (n2, d2) = ref_make (Bigint.mul n1 n2) (Bigint.mul d1 d2)
+let ref_neg (n, d) = (Bigint.neg n, d)
+let ref_inv (n, d) = ref_make d n
+let ref_compare (n1, d1) (n2, d2) = Bigint.compare (Bigint.mul n1 d2) (Bigint.mul n2 d1)
+
+let ref_floor (n, d) =
+  let q, r = Bigint.divmod n d in
+  if Bigint.sign r < 0 then Bigint.sub q Bigint.one else q
+
+let ref_to_string (n, d) =
+  if Bigint.is_one d then Bigint.to_string n
+  else Bigint.to_string n ^ "/" ^ Bigint.to_string d
+
+let matches r (n, d) = Bigint.equal (Rat.num r) n && Bigint.equal (Rat.den r) d
+
+(* A rational next to its reference. *)
+let boundary_of n d = (Rat.make n d, ref_make n d)
+
+let boundary_gen =
+  QCheck2.Gen.(
+    oneof
+      [ map2 boundary_of term_gen nonzero_term_gen;
+        map2 boundary_of at_limit_gen at_limit_gen ])
+
+let print_boundary (r, _) = Rat.to_string r
+
+let prop_rat_boundary_unary =
+  QCheck2.Test.make ~name:"rat boundary: unary operations match Bigint" ~count:2000
+    ~print:print_boundary boundary_gen
+    (fun (a, ra) ->
+       let nonzero = not (Bigint.is_zero (fst ra)) in
+       matches a ra
+       && Rat.sign a = Bigint.sign (fst ra)
+       && matches (Rat.neg a) (ref_neg ra)
+       && matches (Rat.abs a) (Bigint.abs (fst ra), snd ra)
+       && ((not nonzero) || matches (Rat.inv a) (ref_inv ra))
+       && Bigint.equal (Rat.floor a) (ref_floor ra)
+       && Bigint.equal (Rat.ceil a) (Bigint.neg (ref_floor (ref_neg ra)))
+       && Rat.to_string a = ref_to_string ra
+       && Rat.make (Rat.num a) (Rat.den a) = a)
+
+let prop_rat_boundary_binary =
+  QCheck2.Test.make ~name:"rat boundary: binary operations match Bigint" ~count:2000
+    ~print:QCheck2.Print.(pair print_boundary print_boundary)
+    QCheck2.Gen.(pair boundary_gen boundary_gen)
+    (fun ((a, ra), (b, rb)) ->
+       let c = ref_compare ra rb in
+       matches (Rat.add a b) (ref_add ra rb)
+       && matches (Rat.sub a b) (ref_add ra (ref_neg rb))
+       && matches (Rat.mul a b) (ref_mul ra rb)
+       && (Bigint.is_zero (fst rb) || matches (Rat.div a b) (ref_mul ra (ref_inv rb)))
+       && Rat.compare a b = c
+       && Rat.equal a b = (c = 0)
+       && (a = b) = (c = 0))
+
+let prop_rat_boundary_of_ints =
+  QCheck2.Test.make ~name:"rat boundary: of_ints matches Bigint" ~count:2000
+    QCheck2.Gen.(pair int_term_gen int_term_gen)
+    (fun (n, d) ->
+       QCheck2.assume (d <> 0);
+       let r = Rat.of_ints n d in
+       matches r (ref_make (Bigint.of_int n) (Bigint.of_int d))
+       && r = Rat.make (Bigint.of_int n) (Bigint.of_int d)
+       && (d <> 1 || r = Rat.of_int n))
+
 let prop_rat_to_float =
-  QCheck2.Test.make ~name:"rat to_float is close" ~count:500 rat_gen
+  QCheck2.Test.make ~name:"rat to_float is close" ~count:2000
+    QCheck2.Gen.(oneof [ rat_gen; map fst boundary_gen ])
     (fun a ->
        let f = Rat.to_float a in
        let n = float_of_string (Bigint.to_string (Rat.num a)) in
        let d = float_of_string (Bigint.to_string (Rat.den a)) in
-       Float.abs (f -. (n /. d)) < 1e-9)
+       Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (n /. d)))
 
 (* ------------------------------------------------------------------ *)
 (* Simplex tests                                                       *)
@@ -335,7 +459,10 @@ let () =
        [ Alcotest.test_case "canonical form" `Quick test_rat_canonical;
          Alcotest.test_case "arithmetic" `Quick test_rat_arith;
          Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil ]
-       @ qsuite [ prop_rat_field_laws; prop_rat_order_total; prop_rat_to_float ]);
+       @ qsuite
+           [ prop_rat_field_laws; prop_rat_order_total; prop_rat_to_float;
+             prop_rat_boundary_unary; prop_rat_boundary_binary;
+             prop_rat_boundary_of_ints ]);
       ("simplex",
        [ Alcotest.test_case "classic max" `Quick test_simplex_basic_max;
          Alcotest.test_case "min with >=" `Quick test_simplex_min_with_ge;
