@@ -835,21 +835,31 @@ let record_learnt s n lbd =
 (* Adding clauses                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Root-level simplification: sort, drop duplicates and root-false
+   literals; [None] for a tautology or a root-satisfied clause.  One pass
+   over the [Int.compare]-sorted list, where a literal and its negation
+   ([2v], [2v+1]) are neighbours. *)
+let simplify s lits =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | l :: l' :: _ when l' = Lit.negate l -> None
+    | l :: rest ->
+      (match lit_value s l with
+       | 1 -> None
+       | 0 -> go (l :: acc) rest
+       | _ -> go acc rest)
+  in
+  go [] (List.sort_uniq Int.compare lits)
+
 let add_clause s lits =
   assert (s.n_levels = 0);
   (* Log the clause exactly as given, before simplification: the checker's
      database must mirror what the caller asserted. *)
   proof_push_list s 0 lits;
   if s.ok then begin
-    (* Simplify: drop duplicates and root-level-false literals, detect
-       tautologies and root-level-satisfied clauses. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
-    in
-    let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
-    if not (tautology || satisfied) then begin
-      let lits = List.filter (fun l -> lit_value s l = 0) lits in
+    match simplify s lits with
+    | None -> ()
+    | Some lits ->
       match lits with
       | [] -> s.ok <- false
       | [ l ] ->
@@ -866,7 +876,6 @@ let add_clause s lits =
         let cr = alloc_clause s arr in
         push_cref s ~learned:false cr;
         attach_clause s cr
-    end
   end
 
 (* ------------------------------------------------------------------ *)
