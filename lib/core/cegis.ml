@@ -169,10 +169,66 @@ let record_lemmas pool lemmas =
   end;
   List.iter (Vec.push pool) lemmas
 
+(* Lemma generalisation.  tp⁻¹ is antitone in each µop's port set
+   (widening a set never raises any mass(Q)/|Q|), and so is
+   max(tp⁻¹, |e|/r_max).  With some µop slots of a violated footprint
+   freed, every completion therefore lies in [lo, hi]: lo puts the freed
+   µops on all ports; hi is the largest value with all of them on one
+   port {p}, because moving them onto a port of a completion's
+   bottleneck set Q only adds to mass(Q).  While that bracket excludes
+   the observed cycles, the slots stay freed and the lemma refutes every
+   completion.  Slots are tried greedily, in footprint order. *)
+let refute config encoding model obs =
+  let acc = Oracle.Acc.create (Encoding.decode encoding model) in
+  List.iter
+    (fun (s, count) -> Oracle.Acc.add acc s count)
+    (Experiment.to_counts obs.experiment);
+  let tolerance =
+    Rat.mul config.epsilon (Rat.of_int (Experiment.length obs.experiment))
+  in
+  let above = Rat.add obs.cycles tolerance
+  and below = Rat.sub obs.cycles tolerance in
+  let value_with freed target =
+    let move ~back =
+      List.iter
+        (fun (ports, n) ->
+           if back then Oracle.Acc.move acc ~from:target ~to_:ports n
+           else Oracle.Acc.move acc ~from:ports ~to_:target n)
+        freed
+    in
+    move ~back:false;
+    let value = Oracle.Acc.inverse_bounded ~r_max:config.r_max acc in
+    move ~back:true;
+    value
+  in
+  let module Portset = Pmi_portmap.Portset in
+  let excluded freed =
+    Rat.compare (value_with freed (Portset.full config.num_ports)) above > 0
+    || List.for_all
+         (fun p ->
+            Rat.compare (value_with freed (Portset.singleton p)) below < 0)
+         (List.init config.num_ports Fun.id)
+  in
+  let kept, freed =
+    List.fold_left
+      (fun (kept, freed) slot ->
+         let uops =
+           ( Encoding.slot_ports model slot,
+             Experiment.count obs.experiment (Encoding.slot_scheme slot) )
+         in
+         if excluded (uops :: freed) then (kept, uops :: freed)
+         else (slot :: kept, freed))
+      ([], [])
+      (Encoding.footprint encoding (Experiment.schemes obs.experiment))
+  in
+  Obs.add c_slots_freed (List.length freed);
+  Encoding.block_slots model (List.rev kept)
+
 (* Theory check: decode the SAT model, decide every observation through
-   the memo, and learn a footprint lemma for each violated one.  Lemmas are
-   collected in [pool] so that later encodings (deterministic variable
-   numbering) can be seeded with everything already learned. *)
+   the memo, and learn a generalised footprint lemma for each violated
+   one.  Lemmas are collected in [pool] so that later encodings
+   (deterministic variable numbering) can be seeded with everything
+   already learned. *)
 let theory_check config memo encoding observations pool model =
   let mapping = Encoding.decode encoding model in
   let acc = Oracle.Acc.create mapping in
@@ -183,10 +239,7 @@ let theory_check config memo encoding observations pool model =
     if i = Vec.length memo then Vec.push memo (Rows.create 16);
     if not (memo_verdict config acc (Vec.get memo i) mapping obs evaluations)
     then
-      lemmas :=
-        Encoding.block_footprint encoding model
-          (Experiment.schemes obs.experiment)
-        :: !lemmas
+      lemmas := refute config encoding model obs :: !lemmas
   done;
   count_evaluations ~checked:(Vec.length observations) !evaluations;
   let lemmas = List.rev !lemmas in
@@ -589,61 +642,6 @@ let dump_cnf_file sat file =
 (* ------------------------------------------------------------------ *)
 
 module Culprit = struct
-  (* Lemma generalisation.  tp⁻¹ is antitone in each µop's port set
-     (widening a set never raises any mass(Q)/|Q|), and so is
-     max(tp⁻¹, |e|/r_max).  With some µop slots of a violated footprint
-     freed, every completion therefore lies in [lo, hi]: lo puts the freed
-     µops on all ports; hi is the largest value with all of them on one
-     port {p}, because moving them onto a port of a completion's
-     bottleneck set Q only adds to mass(Q).  While that bracket excludes
-     the observed cycles, the slots stay freed and the lemma refutes every
-     completion.  Slots are tried greedily, in footprint order. *)
-  let refute config encoding model obs =
-    let acc = Oracle.Acc.create (Encoding.decode encoding model) in
-    List.iter
-      (fun (s, count) -> Oracle.Acc.add acc s count)
-      (Experiment.to_counts obs.experiment);
-    let tolerance =
-      Rat.mul config.epsilon (Rat.of_int (Experiment.length obs.experiment))
-    in
-    let above = Rat.add obs.cycles tolerance
-    and below = Rat.sub obs.cycles tolerance in
-    let value_with freed target =
-      let move ~back =
-        List.iter
-          (fun (ports, n) ->
-             if back then Oracle.Acc.move acc ~from:target ~to_:ports n
-             else Oracle.Acc.move acc ~from:ports ~to_:target n)
-          freed
-      in
-      move ~back:false;
-      let value = Oracle.Acc.inverse_bounded ~r_max:config.r_max acc in
-      move ~back:true;
-      value
-    in
-    let module Portset = Pmi_portmap.Portset in
-    let excluded freed =
-      Rat.compare (value_with freed (Portset.full config.num_ports)) above > 0
-      || List.for_all
-           (fun p ->
-              Rat.compare (value_with freed (Portset.singleton p)) below < 0)
-           (List.init config.num_ports Fun.id)
-    in
-    let kept, freed =
-      List.fold_left
-        (fun (kept, freed) slot ->
-           let uops =
-             ( Encoding.slot_ports model slot,
-               Experiment.count obs.experiment (Encoding.slot_scheme slot) )
-           in
-           if excluded (uops :: freed) then (kept, uops :: freed)
-           else (slot :: kept, freed))
-        ([], [])
-        (Encoding.footprint encoding (Experiment.schemes obs.experiment))
-    in
-    Obs.add c_slots_freed (List.length freed);
-    Encoding.block_slots model (List.rev kept)
-
   (* A distinct observation of the search: its guard literal prefixes all
      of its lemmas, so they bind only in queries that assume it. *)
   type entry = {

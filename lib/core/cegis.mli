@@ -4,11 +4,12 @@
     searches a port mapping consistent with every measurement (SAT modulo
     the port-mapping theory: candidate mappings decoded from SAT models are
     checked against the observations with the exact throughput oracle under
-    the §3.4 frontend bound; every violated observation yields a footprint
-    lemma).  [find_other_mapping] searches a second consistent mapping
-    together with a distinguishing experiment, trying small experiments
-    first (the stratified search of §3.3.4) and requiring the 2ε separation
-    that makes one measurement able to refute one of the two mappings.
+    the §3.4 frontend bound; every violated observation yields a
+    generalised footprint lemma, see {!refute}).  [find_other_mapping]
+    searches a second consistent mapping together with a distinguishing
+    experiment, trying small experiments first (the stratified search of
+    §3.3.4) and requiring the 2ε separation that makes one measurement
+    able to refute one of the two mappings.
 
     Termination mirrors the paper's argument: every candidate mapping a
     [find_other_mapping] call produces is either returned with a
@@ -135,6 +136,18 @@ val consistent :
   config -> Pmi_portmap.Mapping.t -> observation -> bool
 (** Does the mapping explain the observation within ε·|e|? *)
 
+val refute :
+  config -> Encoding.t -> bool array -> observation -> Pmi_smt.Lit.t list
+(** The generalised footprint lemma for an observation that the model's
+    decoded mapping violates (without an observation guard), learnt by
+    both [infer]'s theory check and the culprit search.  Slots are freed
+    greedily in {!Encoding.footprint} order.  A set of freed µops stays
+    freed while a bracket excludes the observed cycles: from tp⁻¹ with
+    the freed µops on all ports, up to the largest tp⁻¹ with all of them
+    on one port (both under the §3.4 frontend bound).  tp⁻¹ is antitone in
+    each µop's port set, so every completion lies in the bracket, and
+    every assignment the lemma blocks violates the observation. *)
+
 val infer :
   ?config:config ->
   ?warm_start:observation list ->
@@ -199,16 +212,4 @@ module Culprit : sig
   (** With [config.dump_cnf = Some prefix], write the session's CNF to
       [prefix-culprit-<n>.cnf], where [n] numbers the sessions created in
       this process from 1. *)
-
-  val refute :
-    config -> Encoding.t -> bool array -> observation -> Pmi_smt.Lit.t list
-  (** The generalised footprint lemma for an observation that the model's
-      decoded mapping violates (without an observation guard).  Slots are
-      freed greedily in {!Encoding.footprint} order.  A set of freed µops
-      stays freed while a bracket excludes the observed cycles: from tp⁻¹
-      with the freed µops on all ports, up to the largest tp⁻¹ with all of
-      them on one port (both under the §3.4 frontend bound).  tp⁻¹ is
-      antitone in each µop's port set, so every completion lies in the
-      bracket, and every assignment the lemma blocks violates the
-      observation. *)
 end

@@ -114,7 +114,8 @@ type t = {
   (* Guard/activation variables, declared via [mark_guard]: annotated in
      DIMACS dumps and exempt from EncLint's dead-variable check. *)
   guards : (int, unit) Hashtbl.t;
-  (* Invariant sanitizer (debug): checked at decision-level-0 boundaries. *)
+  (* Invariant sanitizer (debug): checked at decision-level-0 boundaries
+     and after each batch of theory lemmas. *)
   mutable sanitize : bool;
   (* Statistics. *)
   mutable st_decisions : int;
@@ -838,18 +839,39 @@ let record_learnt s n lbd =
 (* Root-level simplification: sort, drop duplicates and root-false
    literals; [None] for a tautology or a root-satisfied clause.  One pass
    over the [Int.compare]-sorted list, where a literal and its negation
-   ([2v], [2v+1]) are neighbours. *)
+   ([2v], [2v+1]) are neighbours.  Only level-0 values count, so theory
+   lemmas attached above level 0 share it. *)
 let simplify s lits =
+  let root l = if s.level.(Lit.var l) = 0 then lit_value s l else 0 in
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | l :: l' :: _ when l' = Lit.negate l -> None
     | l :: rest ->
-      (match lit_value s l with
+      (match root l with
        | 1 -> None
        | 0 -> go (l :: acc) rest
        | _ -> go acc rest)
   in
   go [] (List.sort_uniq Int.compare lits)
+
+(* Register a simplified problem clause of two or more literals, watched
+   by its first two; returns the reason that would assert its first. *)
+let store_clause s arr =
+  if Array.length arr = 2 then begin
+    let a = arr.(0) and b = arr.(1) in
+    attach_binary s a b;
+    s.bin_pairs <- grow_array s.bin_pairs (s.n_bin_pairs + 2) 0;
+    s.bin_pairs.(s.n_bin_pairs) <- a;
+    s.bin_pairs.(s.n_bin_pairs + 1) <- b;
+    s.n_bin_pairs <- s.n_bin_pairs + 2;
+    (b lsl 1) lor 1
+  end
+  else begin
+    let cr = alloc_clause s arr in
+    push_cref s ~learned:false cr;
+    attach_clause s cr;
+    cr lsl 1
+  end
 
 let add_clause s lits =
   assert (s.n_levels = 0);
@@ -859,23 +881,106 @@ let add_clause s lits =
   if s.ok then begin
     match simplify s lits with
     | None -> ()
-    | Some lits ->
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-        enqueue s l (-1);
-        if propagate s >= 0 then s.ok <- false
-      | [ a; b ] ->
-        attach_binary s a b;
-        s.bin_pairs <- grow_array s.bin_pairs (s.n_bin_pairs + 2) 0;
-        s.bin_pairs.(s.n_bin_pairs) <- a;
-        s.bin_pairs.(s.n_bin_pairs + 1) <- b;
-        s.n_bin_pairs <- s.n_bin_pairs + 2
-      | l0 :: l1 :: rest ->
-        let arr = Array.of_list (l0 :: l1 :: rest) in
-        let cr = alloc_clause s arr in
-        push_cref s ~learned:false cr;
-        attach_clause s cr
+    | Some [] -> s.ok <- false
+    | Some [ l ] ->
+      enqueue s l (-1);
+      if propagate s >= 0 then s.ok <- false
+    | Some lits -> ignore (store_clause s (Array.of_list lits))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Theory lemmas on the live trail                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Watch preference: true, then unassigned, then false by decreasing
+   level (the literal that a backjump frees first). *)
+let watch_rank s l =
+  match lit_value s l with
+  | 1 -> max_int
+  | 0 -> max_int - 1
+  | _ -> s.level.(Lit.var l)
+
+(* Move the two best watch candidates of [arr] into slots 0 and 1. *)
+let order_watches s arr =
+  let best_into i =
+    let b = ref i in
+    for k = i + 1 to Array.length arr - 1 do
+      if watch_rank s arr.(k) > watch_rank s arr.(!b) then b := k
+    done;
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(!b);
+    arr.(!b) <- tmp
+  in
+  best_into 0;
+  if Array.length arr > 1 then best_into 1
+
+(* The level a lemma (watch-ordered, no root-false literal) needs the
+   search at: level 0 for a unit, the level of its highest false literal
+   when it is unit or asserting there, just below the level its two
+   highest literals share when both are false there, and [max_int] when
+   two watches are non-false or it is satisfied. *)
+let lemma_level s arr =
+  if Array.length arr = 1 then 0
+  else begin
+    let r0 = watch_rank s arr.(0) and r1 = watch_rank s arr.(1) in
+    if r0 = max_int || r1 >= max_int - 1 then max_int
+    else if r0 > r1 then r1
+    else r0 - 1
+  end
+
+(* Attach theory lemmas to the live trail, each logged as an [Input] step
+   and simplified like [add_clause]: backjump to the lowest level any of
+   them needs, store them as problem clauses and assert the ones that are
+   unit there.  Returns a conflict encoded as by [propagate] (a lemma
+   falsified by another one's assertion), or -1; an empty lemma or a
+   level-0 clash clears [s.ok]. *)
+let add_lemmas s lemmas =
+  let lemmas =
+    List.filter_map
+      (fun lits ->
+         proof_push_list s 0 lits;
+         Option.map Array.of_list (simplify s lits))
+      lemmas
+  in
+  if List.exists (fun arr -> Array.length arr = 0) lemmas then begin
+    s.ok <- false;
+    -1
+  end
+  else begin
+    let target =
+      List.fold_left
+        (fun lvl arr ->
+           order_watches s arr;
+           min lvl (lemma_level s arr))
+        s.n_levels lemmas
+    in
+    cancel_until s target;
+    List.fold_left
+      (fun confl arr ->
+         order_watches s arr;
+         if Array.length arr = 1 then begin
+           (match lit_value s arr.(0) with
+            | 0 -> enqueue s arr.(0) (-1)
+            | -1 -> s.ok <- false
+            | _ -> ());
+           confl
+         end
+         else begin
+           let reason = store_clause s arr in
+           if confl >= 0 then confl
+           else
+             match (lit_value s arr.(0), lit_value s arr.(1)) with
+             | 0, -1 ->
+               enqueue s arr.(0) reason;
+               -1
+             | -1, _ when reason land 1 = 1 ->
+               s.bin_confl.(0) <- arr.(0);
+               s.bin_confl.(1) <- arr.(1);
+               1
+             | -1, _ -> reason
+             | _ -> -1
+         end)
+      (-1) lemmas
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1025,10 +1130,10 @@ exception Invariant_violation of string
 
 (* Structural well-formedness checks over the whole solver state.  These are
    meaningful at decision-level boundaries (between [propagate] fixpoints),
-   which is where [solve_opt] calls them when [set_sanitize] is on: at entry,
-   after every restart/reduction, and at exit.  The checks are deliberately
-   exhaustive rather than fast — they exist to catch engine bugs, not to run
-   in production. *)
+   which is where [solve] calls them when [set_sanitize] is on: at entry,
+   after every restart/reduction, after each batch of theory lemmas, and
+   at exit.  The checks are deliberately exhaustive rather than fast — they
+   exist to catch engine bugs, not to run in production. *)
 module Invariants = struct
   exception Bad of string
 
@@ -1247,81 +1352,113 @@ let pick_branch_var s =
   done;
   !v
 
-let solve ?(assumptions = []) s =
+(* CDCL from level 0 under [assumptions].  At every full assignment,
+   [check] (when given) sees the model: no lemmas accept it, otherwise
+   [add_lemmas] attaches them in place and the same search continues. *)
+let search s assumptions check =
+  let n_assumptions = Array.length assumptions in
+  let restart_budget = ref restart_base in
+  let conflicts_here = ref 0 in
+  let pending = ref (-1) in
+  let result = ref Unsat in
+  let finished = ref false in
+  while not !finished do
+    let confl =
+      if !pending >= 0 then begin
+        let c = !pending in
+        pending := -1;
+        c
+      end
+      else propagate s
+    in
+    if confl >= 0 then begin
+      s.st_conflicts <- s.st_conflicts + 1;
+      incr conflicts_here;
+      if s.n_levels = 0 then begin
+        s.ok <- false;
+        result := Unsat;
+        finished := true
+      end
+      else if s.n_levels <= n_assumptions then begin
+        (* The conflict only depends on assumptions and root clauses. *)
+        result := Unsat;
+        finished := true
+      end
+      else begin
+        let n, backjump, lbd = analyze s confl in
+        (* Never backjump into the middle of the assumption prefix with a
+           pending asserting literal that contradicts an assumption: the
+           learnt clause is still sound, and if it conflicts again we end
+           up in one of the terminating branches above. *)
+        cancel_until s backjump;
+        record_learnt s n lbd;
+        decay s
+      end
+    end
+    else if
+      !conflicts_here >= !restart_budget
+      || (s.reduce_enabled && s.st_conflicts >= s.reduce_budget)
+    then begin
+      s.st_restarts <- s.st_restarts + 1;
+      restart_budget := !restart_budget * 3 / 2;
+      conflicts_here := 0;
+      cancel_until s 0;
+      if s.reduce_enabled && s.st_conflicts >= s.reduce_budget then
+        reduce_db s;
+      sanitize_check s
+    end
+    else if s.n_levels < n_assumptions then begin
+      let a = assumptions.(s.n_levels) in
+      match lit_value s a with
+      | -1 ->
+        result := Unsat;
+        finished := true
+      | 1 -> new_decision_level s (* vacuous level to keep indices aligned *)
+      | _ ->
+        new_decision_level s;
+        enqueue s a (-1)
+    end
+    else begin
+      match pick_branch_var s with
+      | -1 ->
+        let model = Array.init s.nvars (fun v -> var_value s v = 1) in
+        let lemmas = match check with None -> [] | Some check -> check model in
+        if lemmas = [] then begin
+          result := Sat model;
+          finished := true
+        end
+        else begin
+          pending := add_lemmas s lemmas;
+          if s.ok then sanitize_check s
+          else begin
+            result := Unsat;
+            finished := true
+          end
+        end
+      | v ->
+        s.st_decisions <- s.st_decisions + 1;
+        new_decision_level s;
+        enqueue s (Lit.make v s.phase.(v)) (-1)
+    end
+  done;
+  !result
+
+let solve ?(assumptions = []) ?check s =
   if not s.ok then Unsat
   else begin
     cancel_until s 0;
     sanitize_check s;
-    let assumptions = Array.of_list assumptions in
-    let n_assumptions = Array.length assumptions in
-    let restart_budget = ref restart_base in
-    let conflicts_here = ref 0 in
-    let result = ref Unsat in
-    let finished = ref false in
-    while not !finished do
-      let confl = propagate s in
-      if confl >= 0 then begin
-        s.st_conflicts <- s.st_conflicts + 1;
-        incr conflicts_here;
-        if s.n_levels = 0 then begin
-          s.ok <- false;
-          result := Unsat;
-          finished := true
-        end
-        else if s.n_levels <= n_assumptions then begin
-          (* The conflict only depends on assumptions and root clauses. *)
-          result := Unsat;
-          finished := true
-        end
-        else begin
-          let n, backjump, lbd = analyze s confl in
-          (* Never backjump into the middle of the assumption prefix with a
-             pending asserting literal that contradicts an assumption: the
-             learnt clause is still sound, and if it conflicts again we end
-             up in one of the terminating branches above. *)
-          cancel_until s backjump;
-          record_learnt s n lbd;
-          decay s
-        end
-      end
-      else if
-        !conflicts_here >= !restart_budget
-        || (s.reduce_enabled && s.st_conflicts >= s.reduce_budget)
-      then begin
-        s.st_restarts <- s.st_restarts + 1;
-        restart_budget := !restart_budget * 3 / 2;
-        conflicts_here := 0;
-        cancel_until s 0;
-        if s.reduce_enabled && s.st_conflicts >= s.reduce_budget then
-          reduce_db s;
-        sanitize_check s
-      end
-      else if s.n_levels < n_assumptions then begin
-        let a = assumptions.(s.n_levels) in
-        match lit_value s a with
-        | -1 ->
-          result := Unsat;
-          finished := true
-        | 1 -> new_decision_level s (* vacuous level to keep indices aligned *)
-        | _ ->
-          new_decision_level s;
-          enqueue s a (-1)
-      end
-      else begin
-        match pick_branch_var s with
-        | -1 ->
-          result := Sat (Array.init s.nvars (fun v -> var_value s v = 1));
-          finished := true
-        | v ->
-          s.st_decisions <- s.st_decisions + 1;
-          new_decision_level s;
-          enqueue s (Lit.make v s.phase.(v)) (-1)
-      end
-    done;
-    cancel_until s 0;
-    sanitize_check s;
-    !result
+    match search s (Array.of_list assumptions) check with
+    | result ->
+      cancel_until s 0;
+      sanitize_check s;
+      result
+    | exception e ->
+      cancel_until s 0;
+      raise e
   end
+
+let var_level s v = s.level.(v)
 
 (* ------------------------------------------------------------------ *)
 (* DIMACS export                                                       *)

@@ -8,9 +8,11 @@
     reduction.
 
     The solver is incremental: clauses may be added between [solve] calls
-    (at decision level 0 — every call returns there), and [solve
-    ~assumptions] decides under a temporary assumption prefix without
-    polluting the persistent state.  Clause-database reduction only ever
+    (at decision level 0 — every call returns there, also when it raises),
+    and [solve ~assumptions] decides under a temporary assumption prefix
+    without polluting the persistent state.  A theory hook ([solve
+    ~check]) refutes models during the search; its lemmas are attached to
+    the live trail, so one search serves every refinement round.  Clause-database reduction only ever
     discards learnt clauses; problem clauses — including the
     activation-literal clauses of the incremental CEGIS encoding — are
     permanent. *)
@@ -46,15 +48,34 @@ val num_vars : t -> int
 
 val add_clause : t -> Lit.t list -> unit
 (** Add a disjunction of literals.  Must be called at decision level 0
-    (which holds between [solve] calls).  Adding the empty clause (or a
-    clause that simplifies to it) makes the solver permanently
-    unsatisfiable. *)
+    (which holds between [solve] calls, not inside a [check] hook).
+    Adding the empty clause (or a clause that simplifies to it) makes the
+    solver permanently unsatisfiable. *)
 
-val solve : ?assumptions:Lit.t list -> t -> result
+val solve :
+  ?assumptions:Lit.t list -> ?check:(bool array -> Lit.t list list) -> t ->
+  result
 (** Solve under the given assumptions.  The model of a [Sat] answer assigns
     every allocated variable.  [Unsat] under assumptions means
     unsatisfiable *under those assumptions*; the solver stays usable.
-    Learnt clauses persist across calls. *)
+    Learnt clauses persist across calls.
+
+    [check] is called on every full assignment the search reaches, at
+    that assignment's decision level.  Returning [[]] accepts the model.
+    Otherwise the lemma clauses are added like {!add_clause} (logged as
+    [Input] steps, permanent problem clauses) but in place: the search
+    backjumps to the lowest level any lemma needs — level 0 for a unit,
+    the level where a lemma becomes unit (asserting it there), or just
+    below the level the two highest literals of a falsified lemma share —
+    and continues instead of restarting from level 0.  [check] may
+    allocate variables with {!fresh_var} and use them in its lemmas; it
+    must not call {!add_clause}.  If [check] raises, the exception
+    propagates with the solver back at level 0 and usable. *)
+
+val var_level : t -> int -> int
+(** The decision level of an assigned variable: inside a [check] hook,
+    the level at which the model assigned it.  Meaningless for an
+    unassigned variable. *)
 
 val okay : t -> bool
 (** [false] once the clause database is unsatisfiable at level 0. *)
@@ -132,7 +153,8 @@ exception Invariant_violation of string
 val set_sanitize : t -> bool -> unit
 (** Debug flag (default off): when on, {!Invariants.check} runs at every
     decision-level-0 boundary inside [solve] — entry, each restart/DB
-    reduction, and exit — and a failure raises {!Invariant_violation}. *)
+    reduction, and exit — and after each batch of theory lemmas is
+    attached in place; a failure raises {!Invariant_violation}. *)
 
 (** Structural well-formedness checks over the live solver state: literal
     slot consistency, trail/level segment agreement, reason clauses
@@ -143,8 +165,9 @@ val set_sanitize : t -> bool -> unit
 module Invariants : sig
   val check : t -> (unit, string) Stdlib.result
   (** [Ok ()] or [Error message] naming the first violated invariant.  Call
-      at decision level 0 (between [solve] calls, or via {!set_sanitize}
-      inside them). *)
+      at decision level 0 (between [solve] calls), or via {!set_sanitize}
+      inside them, where it also runs on the live trail right after theory
+      lemmas are attached. *)
 end
 
 (** {1 Export} *)

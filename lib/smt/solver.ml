@@ -15,23 +15,6 @@ let stats_args (before : Sat.stats) (after : Sat.stats) =
     ("restarts", Obs.Int (after.Sat.restarts - before.Sat.restarts));
     ("learned", Obs.Int (after.Sat.learned - before.Sat.learned)) ]
 
-(* [sat_span sat f]: a [sat.solve] span around one CDCL call whose closing
-   args carry the stats delta on [sat].  One atomic-load branch when
-   tracing is off. *)
-let sat_span sat f =
-  if not (Obs.enabled ()) then f ()
-  else begin
-    let before = Sat.stats sat in
-    let frame = Obs.enter "sat.solve" in
-    match f () with
-    | r ->
-      Obs.leave ~args:(stats_args before (Sat.stats sat)) frame;
-      r
-    | exception e ->
-      Obs.leave ~args:[ ("exn", Obs.Str (Printexc.to_string e)) ] frame;
-      raise e
-  end
-
 (* A span around one theory-check callback, closing with the number of
    lemmas the theory pushed back. *)
 let theory_span check model =
@@ -54,23 +37,48 @@ let falsified_by model lits =
        v < Array.length model && (if Lit.is_pos l then not model.(v) else model.(v)))
     lits
 
-let solve ?(assumptions = []) ?(max_rounds = 100_000) ~check sat =
-  let rec loop round =
-    if round > max_rounds then failwith "Smt.Solver.solve: theory loop diverges"
-    else begin
-      match sat_span sat (fun () -> Sat.solve ~assumptions sat) with
-      | Sat.Unsat -> Unsat
-      | Sat.Sat model ->
-        (match theory_span check model with
-         | [] -> Sat model
-         | lemmas ->
-           (* Progress guard: the rejected model must violate some lemma.
-              Lemmas may mention variables allocated after the model was
-              produced (e.g. fresh cardinality registers), which
-              [falsified_by] treats as unassigned-false. *)
-           assert (List.exists (falsified_by model) lemmas);
-           List.iter (Sat.add_clause sat) lemmas;
-           loop (round + 1))
-    end
+let solve ?assumptions ?(max_rounds = 100_000) ~check sat =
+  (* The CDCL work up to each theory check is one [sat.solve] span whose
+     closing args carry the stats delta on [sat], a sibling of the
+     [theory.check] span that follows it. *)
+  let tracing = Obs.enabled () in
+  let segment = ref None in
+  let enter () =
+    if tracing then segment := Some (Sat.stats sat, Obs.enter "sat.solve")
   in
-  loop 1
+  let leave args =
+    match !segment with
+    | None -> ()
+    | Some (before, frame) ->
+      segment := None;
+      Obs.leave ~args:(args before) frame
+  in
+  let leave_stats () = leave (fun before -> stats_args before (Sat.stats sat)) in
+  let rounds = ref 0 in
+  let check model =
+    leave_stats ();
+    let lemmas = theory_span check model in
+    if lemmas <> [] then begin
+      incr rounds;
+      if !rounds >= max_rounds then
+        failwith "Smt.Solver.solve: theory loop diverges";
+      (* Progress guard: the rejected model must violate some lemma.
+         Lemmas may mention variables allocated after the model was
+         produced (e.g. fresh cardinality registers); [falsified_by]
+         treats those as unassigned, so such a lemma never counts. *)
+      assert (List.exists (falsified_by model) lemmas);
+      enter ()
+    end;
+    lemmas
+  in
+  enter ();
+  match Sat.solve ?assumptions ~check sat with
+  | Sat.Sat model ->
+    leave_stats ();
+    Sat model
+  | Sat.Unsat ->
+    leave_stats ();
+    Unsat
+  | exception e ->
+    leave (fun _ -> [ ("exn", Obs.Str (Printexc.to_string e)) ]);
+    raise e

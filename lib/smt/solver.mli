@@ -16,11 +16,19 @@ val solve :
   check:(bool array -> Lit.t list list) ->
   Sat.t ->
   result
-(** [solve ~check sat] alternates SAT solving and theory checking.  A model
-    for which [check] returns [[]] is theory-consistent and returned.
-    Otherwise all returned lemma clauses are added and solving resumes; at
-    least one lemma must be falsified by the rejected model (enforced by
-    assertion) so that every round makes progress.
+(** [solve ~check sat] is one {!Sat.solve} search with [check] as its
+    theory hook.  A model for which [check] returns [[]] is
+    theory-consistent and returned.  Otherwise the lemma clauses are
+    attached to the live trail and the same search continues (see
+    {!Sat.solve} for the backjump rule); at least one lemma must be
+    falsified by the rejected model (enforced by assertion) so that every
+    round makes progress, and a lemma over a variable allocated during
+    [check] does not count.  [check] runs inside the search, so it may
+    allocate variables but must not call {!Sat.add_clause}.  The solver is
+    at decision level 0 whenever [solve] returns or raises.
 
-    @raise Failure if [max_rounds] (default 100,000) is exceeded, which
-    indicates a diverging theory encoding. *)
+    In a trace, the CDCL work before each check is one [sat.solve] span
+    and the check itself one [theory.check] span.
+
+    @raise Failure if [check] rejects [max_rounds] (default 100,000)
+    models, which indicates a diverging theory encoding. *)

@@ -373,7 +373,7 @@ let test_cegis_pinned_figure4b () =
   check_pinned
     { rows = [ "[0]"; "[0]" ];
       iterations = 2; candidates_tried = 2; theory_lemmas = 1;
-      sat_episodes = 5; conflicts = 3; propagations = 36 }
+      sat_episodes = 5; conflicts = 3; propagations = 35 }
     (pinned_of_outcome outcome)
 
 let test_cegis_pinned_three_ports () =
@@ -383,7 +383,7 @@ let test_cegis_pinned_three_ports () =
   check_pinned
     { rows = [ "[0,1]"; "[0,2]"; "[2]" ];
       iterations = 3; candidates_tried = 5; theory_lemmas = 3;
-      sat_episodes = 9; conflicts = 13; propagations = 218 }
+      sat_episodes = 9; conflicts = 14; propagations = 180 }
     (pinned_of_outcome outcome)
 
 (* Ten specs on five ports: enough schemes and observations that SAT
@@ -403,8 +403,8 @@ let test_cegis_pinned_ten_specs () =
     { rows =
         [ "[0,1]"; "[0,2]"; "[2]"; "[1,2]"; "[3,4]"; "[3]"; "[0,1,2]"; "[4]";
           "[0,4]"; "[2,3]" ];
-      iterations = 25; candidates_tried = 32; theory_lemmas = 113;
-      sat_episodes = 58; conflicts = 186; propagations = 19537 }
+      iterations = 25; candidates_tried = 31; theory_lemmas = 160;
+      sat_episodes = 57; conflicts = 215; propagations = 13173 }
     (pinned_of_outcome outcome)
 
 (* 22 ports: past the dense oracle's 20-port table bound, so only the
@@ -722,7 +722,7 @@ let test_generalised_lemmas_sound () =
     List.iter
       (fun model ->
          if not (Cegis.consistent config (Encoding.decode enc model) obs) then begin
-           let lemma = Cegis.Culprit.refute config enc model obs in
+           let lemma = Cegis.refute config enc model obs in
            incr lemmas;
            if
              List.length lemma

@@ -764,6 +764,163 @@ let test_theory_unsat () =
   | Solver.Unsat -> ()
   | Solver.Sat _ -> Alcotest.fail "theory rejects everything"
 
+(* Exception safety: a theory that raises, or one that exceeds
+   [max_rounds], leaves the solver at level 0 and usable — [add_clause]
+   asserts level 0, and the next solve must see the new clause. *)
+let test_theory_raises () =
+  let s = Sat.create () in
+  Sat.set_sanitize s true;
+  let vars = Array.init 6 (fun _ -> Sat.fresh_var s) in
+  Sat.add_clause s [ Lit.pos vars.(0); Lit.pos vars.(1); Lit.pos vars.(2) ];
+  Sat.add_clause s [ Lit.neg_of_var vars.(3); Lit.pos vars.(4) ];
+  let block model =
+    [ Array.to_list (Array.map (fun v -> Lit.make v (not model.(v))) vars) ]
+  in
+  let calls = ref 0 in
+  let raising model =
+    incr calls;
+    if !calls = 3 then failwith "theory failure" else block model
+  in
+  let expect_failure what f =
+    match f () with
+    | exception Failure _ -> ()
+    | Solver.Sat _ | Solver.Unsat -> Alcotest.failf "%s: expected Failure" what
+  in
+  let still_usable what =
+    (match Sat.Invariants.check s with
+     | Ok () -> ()
+     | Error msg -> Alcotest.failf "%s: invariant: %s" what msg);
+    Sat.add_clause s [ Lit.neg_of_var vars.(5) ];
+    match Solver.solve ~check:(fun _ -> []) s with
+    | Solver.Sat model ->
+      Alcotest.(check bool) (what ^ ": new clause holds") false model.(vars.(5))
+    | Solver.Unsat -> Alcotest.failf "%s: unexpected unsat" what
+  in
+  expect_failure "raising check" (fun () -> Solver.solve ~check:raising s);
+  Alcotest.(check int) "check calls" 3 !calls;
+  still_usable "after a raising check";
+  expect_failure "max_rounds" (fun () ->
+      Solver.solve ~max_rounds:2 ~check:block s);
+  still_usable "after max_rounds"
+
+(* Lemmas on the live trail, against an eager solve.  A random CNF is
+   split into a skeleton, added up front, and hidden clauses that [check]
+   returns when the model violates them; sometimes a hidden clause [c]
+   other than the first comes back as [c ∨ f] and [c ∨ ¬f] over a fresh
+   variable [f].  Each instance is solved twice under random assumptions,
+   with proof logging and the sanitizer on.  [lemma_shapes] tallies how
+   each violated hidden clause stood on the trail: unit, asserting (one
+   highest literal), or with its two highest literals on one level. *)
+type lemma_shapes = {
+  mutable units : int;
+  mutable asserting : int;
+  mutable shared : int;
+  mutable fresh : int;
+  mutable assumed : int;
+}
+
+let lemma_shapes = { units = 0; asserting = 0; shared = 0; fresh = 0; assumed = 0 }
+
+let tally_shape s clause =
+  let levels =
+    List.sort_uniq compare clause
+    |> List.map (fun l -> Sat.var_level s (Lit.var l))
+    |> List.filter (fun lvl -> lvl > 0)
+    |> List.sort (fun a b -> compare b a)
+  in
+  match levels with
+  | [] -> ()
+  | [ _ ] -> lemma_shapes.units <- lemma_shapes.units + 1
+  | l1 :: l2 :: _ when l1 > l2 ->
+    lemma_shapes.asserting <- lemma_shapes.asserting + 1
+  | _ -> lemma_shapes.shared <- lemma_shapes.shared + 1
+
+let satisfies model clause =
+  List.exists
+    (fun l -> if Lit.is_pos l then model.(Lit.var l) else not model.(Lit.var l))
+    clause
+
+let prop_lemmas_in_place =
+  let gen =
+    let open QCheck2.Gen in
+    int_range 3 12 >>= fun n ->
+    let lit = map2 (fun v pos -> Lit.make v pos) (int_range 0 (n - 1)) bool in
+    let clause = pair bool (list_size (int_range 1 4) lit) in
+    let assumptions = list_size (int_range 0 3) lit in
+    map
+      (fun (clauses, (a1, a2), seed) -> (n, clauses, [ a1; a2 ], seed))
+      (triple (list_size (int_range 1 45) clause) (pair assumptions assumptions) int)
+  in
+  QCheck2.Test.make ~name:"in-place lemmas match an eager solve" ~count:400 gen
+    (fun (n, clauses, assumption_sets, seed) ->
+       let rng = Random.State.make [| seed |] in
+       let skeleton = List.filter_map (fun (h, c) -> if h then None else Some c) clauses in
+       let hidden = List.filter_map (fun (h, c) -> if h then Some c else None) clauses in
+       let s = Sat.create () in
+       Sat.set_proof_logging s true;
+       Sat.set_sanitize s true;
+       for _ = 1 to n do
+         ignore (Sat.fresh_var s)
+       done;
+       List.iter (Sat.add_clause s) skeleton;
+       let check model =
+         (* The first violated clause comes back as it is, so some lemma
+            is falsified by the model ([Solver.solve]'s progress guard). *)
+         let plain = ref true in
+         List.concat_map
+           (fun c ->
+              if satisfies model c then []
+              else begin
+                tally_shape s c;
+                let first = !plain in
+                plain := false;
+                if (not first) && Random.State.int rng 3 = 0 then begin
+                  lemma_shapes.fresh <- lemma_shapes.fresh + 1;
+                  let f = Sat.fresh_var s in
+                  [ Lit.pos f :: c; Lit.neg_of_var f :: c ]
+                end
+                else [ c ]
+              end)
+           hidden
+       in
+       List.for_all
+         (fun assumptions ->
+            if assumptions <> [] then
+              lemma_shapes.assumed <- lemma_shapes.assumed + 1;
+            let eager = Sat.create () in
+            for _ = 1 to n do
+              ignore (Sat.fresh_var eager)
+            done;
+            List.iter (Sat.add_clause eager) (skeleton @ hidden);
+            let expected = is_sat (Sat.solve ~assumptions eager) in
+            match Solver.solve ~assumptions ~check s with
+            | Solver.Sat model ->
+              expected
+              && List.for_all (satisfies model) (skeleton @ hidden)
+              && List.for_all (fun a -> satisfies model [ a ]) assumptions
+            | Solver.Unsat ->
+              let goal = List.map Lit.negate assumptions in
+              (match Pmi_analysis.Drat.check ~goal (Sat.proof s) with
+               | Ok () -> ()
+               | Error e ->
+                 QCheck2.Test.fail_reportf "DRAT rejected: %a"
+                   Pmi_analysis.Drat.pp_error e);
+              not expected)
+         assumption_sets)
+
+(* The property above, plus evidence that it reached every lemma shape
+   and ran under assumptions. *)
+let test_lemmas_in_place () =
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 17 |]) prop_lemmas_in_place;
+  List.iter
+    (fun (what, n) ->
+       if n = 0 then Alcotest.failf "no %s exercised" what)
+    [ ("unit lemma", lemma_shapes.units);
+      ("asserting lemma", lemma_shapes.asserting);
+      ("lemma with a shared top level", lemma_shapes.shared);
+      ("lemma over a fresh variable", lemma_shapes.fresh);
+      ("solve under assumptions", lemma_shapes.assumed) ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -810,4 +967,8 @@ let () =
        @ qsuite [ prop_tseitin_equisatisfiable; prop_expr_eval_neg ]);
       ("theory",
        [ Alcotest.test_case "cegar loop" `Quick test_theory_loop;
-         Alcotest.test_case "theory unsat" `Quick test_theory_unsat ]) ]
+         Alcotest.test_case "theory unsat" `Quick test_theory_unsat;
+         Alcotest.test_case "raising theory leaves level 0" `Quick
+           test_theory_raises;
+         Alcotest.test_case "in-place lemmas match an eager solve" `Quick
+           test_lemmas_in_place ]) ]
